@@ -21,6 +21,13 @@
 //! deterministic, so a redundant copy is identical. Once warm, a request
 //! costs one uncontended map-mutex fetch of the cell plus an `Arc` clone —
 //! no per-cell claim bookkeeping.
+//!
+//! Lifetime: entries are never evicted on their own. A CLI process exits
+//! before that matters; a long-lived process (`mojo-hpc serve`) calls
+//! [`release_idle_inputs`] once its computations finish, dropping every
+//! input nobody still holds, and reads [`input_memo_gauge`] to show what
+//! stays resident. Regeneration after a release is deterministic, so it
+//! costs time, never bytes of output.
 
 use crate::hartree_fock::{
     reference_fock, HartreeFockConfig, HeliumSystem, SampleWeighting, SampledPlan,
@@ -158,6 +165,148 @@ impl<K: Eq + Hash, V> Memo<K, V> {
             }
         }
     }
+}
+
+/// Estimated heap bytes of a memoized input, for [`input_memo_gauge`].
+trait Footprint {
+    fn footprint(&self) -> u64;
+}
+
+fn slice_bytes<T>(items: &[T]) -> u64 {
+    std::mem::size_of_val(items) as u64
+}
+
+impl<T> Footprint for Vec<T> {
+    fn footprint(&self) -> u64 {
+        slice_bytes(self)
+    }
+}
+
+impl Footprint for HeliumSystem {
+    fn footprint(&self) -> u64 {
+        slice_bytes(&self.geometry)
+            + slice_bytes(&self.xpnt)
+            + slice_bytes(&self.coef)
+            + slice_bytes(&self.dens)
+            + slice_bytes(&self.schwarz)
+    }
+}
+
+impl Footprint for SampledPlan {
+    fn footprint(&self) -> u64 {
+        slice_bytes(&self.shards)
+            + slice_bytes(&self.survivors)
+            + slice_bytes(&self.host_eris)
+            + slice_bytes(&self.expected_fock)
+    }
+}
+
+impl Footprint for Deck {
+    fn footprint(&self) -> u64 {
+        slice_bytes(&self.ligand)
+            + slice_bytes(&self.protein)
+            + slice_bytes(&self.forcefield)
+            + self.transforms.iter().map(|t| slice_bytes(t)).sum::<u64>()
+    }
+}
+
+impl Footprint for DeckFlats {
+    fn footprint(&self) -> u64 {
+        slice_bytes(&self.protein) + slice_bytes(&self.ligand) + slice_bytes(&self.forcefield)
+    }
+}
+
+impl Footprint for crate::jacobi::JacobiSolution {
+    fn footprint(&self) -> u64 {
+        slice_bytes(&self.grid) + slice_bytes(&self.residuals)
+    }
+}
+
+/// The type-erased view of an input memo that [`release_idle_inputs`] and
+/// [`input_memo_gauge`] walk.
+trait InputMemo: Sync {
+    /// Drops every entry no one outside the memo holds.
+    fn release_idle(&self);
+    /// Published entries and their estimated bytes.
+    fn gauge(&self) -> MemoGauge;
+}
+
+impl<K: Eq + Hash + Send, V: Footprint + Send + Sync> InputMemo for Memo<K, V> {
+    fn release_idle(&self) {
+        let Some(map) = self.map.get() else { return };
+        // Under the map lock no one can fetch a new handle to a cell, so a
+        // cell whose only owner is the map, holding a value whose only owner
+        // is the cell, is unreachable from the outside: nobody is generating
+        // it, waiting on it, or using its value.
+        map.lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .retain(|_, cell| {
+                Arc::strong_count(cell) > 1
+                    || cell.value.get().is_some_and(|v| Arc::strong_count(v) > 1)
+            });
+    }
+
+    fn gauge(&self) -> MemoGauge {
+        let Some(map) = self.map.get() else {
+            return MemoGauge::default();
+        };
+        map.lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .values()
+            .filter_map(|cell| cell.value.get())
+            .fold(MemoGauge::default(), |gauge, value| MemoGauge {
+                entries: gauge.entries + 1,
+                bytes: gauge.bytes + value.footprint(),
+            })
+    }
+}
+
+/// Every memo of generated workload inputs. `DEVICE` and `TIMING` are not
+/// among them: two tiny entries each, on the allocation-free launch path.
+fn input_memos() -> [&'static dyn InputMemo; 10] {
+    [
+        &HELIUM,
+        &FOCK_REF,
+        &SAMPLED,
+        &DECK,
+        &FLATS,
+        &BUDE_REF,
+        &GRID,
+        &GRID_F32,
+        &STENCIL_REF,
+        &JACOBI_REF,
+    ]
+}
+
+/// Drops every memoized input that no one outside the memo holds — an idle
+/// entry would be regenerated, identically, on its next request. Entries a
+/// caller still holds (or is generating) stay. A long-lived process calls
+/// this once its in-flight computations finish, so its resident inputs are
+/// bounded by what it is computing right now.
+pub fn release_idle_inputs() {
+    for memo in input_memos() {
+        memo.release_idle();
+    }
+}
+
+/// Published entries and estimated heap bytes across the input memos.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MemoGauge {
+    /// Published entries.
+    pub entries: u64,
+    /// Estimated heap bytes of their values.
+    pub bytes: u64,
+}
+
+/// What the input memos hold right now (see [`release_idle_inputs`]).
+pub fn input_memo_gauge() -> MemoGauge {
+    input_memos()
+        .into_iter()
+        .map(|memo| memo.gauge())
+        .fold(MemoGauge::default(), |total, gauge| MemoGauge {
+            entries: total.entries + gauge.entries,
+            bytes: total.bytes + gauge.bytes,
+        })
 }
 
 static DEVICE: Memo<IStr, Device> = Memo::new();
@@ -535,5 +684,29 @@ mod tests {
         let b = stencil_grid(&config);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(*a, initialize_grid(&config));
+    }
+
+    #[test]
+    fn release_keeps_held_inputs_and_drops_idle_ones() {
+        // Sides no other test uses, so a concurrent test cannot hold them.
+        let held_config = StencilConfig::validation(29, gpu_spec::Precision::Fp64);
+        let idle_config = StencilConfig::validation(31, gpu_spec::Precision::Fp64);
+        let held = stencil_grid(&held_config);
+        let idle = stencil_grid(&idle_config);
+        let original = (*idle).clone();
+        let idle_weak = Arc::downgrade(&idle);
+        drop(idle);
+        release_idle_inputs();
+        assert!(
+            Arc::ptr_eq(&held, &stencil_grid(&held_config)),
+            "a held input must survive the release"
+        );
+        assert!(
+            idle_weak.upgrade().is_none(),
+            "an idle input must be dropped"
+        );
+        let regenerated = stencil_grid(&idle_config);
+        assert_eq!(*regenerated, original, "regeneration is deterministic");
+        assert!(input_memo_gauge().entries >= 2);
     }
 }

@@ -40,7 +40,19 @@
 //! returns `{"status":"ok","stats":{…}}`, `shutdown` acknowledges with
 //! `{"status":"ok","shutdown":true}` and stops the server, and any failure
 //! is `{"status":"error","error":"…"}`. A connection may pipeline any
-//! number of requests.
+//! number of requests. A request line longer than [`MAX_REQUEST_LINE`]
+//! bytes is answered with an error and the connection is closed.
+//!
+//! Each reply (header line plus payload) leaves in a single write on a
+//! `TCP_NODELAY` socket, so a small cached answer is not held back by
+//! Nagle's algorithm waiting for the client's delayed ACK.
+//!
+//! # Memory
+//!
+//! The result LRU is the daemon's only long-lived cache. The
+//! `science_kernels::cache` input memos a computation fills are released
+//! once no computation is in flight ([`cache::release_idle_inputs`]);
+//! `stats` reports what they still hold under `memo`.
 //!
 //! `cached` is true when every result the response needed came out of the
 //! cache; identical requests computing concurrently are coalesced
@@ -56,10 +68,11 @@ use crate::registry::{run_experiment, ExperimentId};
 use crate::report::{json_array, json_field, json_opt_field, json_str, json_u64, ExperimentReport};
 use crate::shard::{self, ShardPoolCounters};
 use crate::sweep::{render_sweep, SweepSpec};
+use science_kernels::cache;
 use science_kernels::workload::{self, Measurement, WorkloadOutput};
 use serde::value::Value;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -81,6 +94,10 @@ pub const DEFAULT_CACHE_BYTES: u64 = 64 * 1024 * 1024;
 
 /// Default worker count of the spill lane.
 pub const DEFAULT_SPILL_WORKERS: u64 = 4;
+
+/// Longest request line accepted, newline included (1 MiB). Reading stops
+/// there, so no client can make the daemon buffer an unbounded line.
+pub const MAX_REQUEST_LINE: u64 = 1024 * 1024;
 
 /// Configuration of one `mojo-hpc serve` invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -531,6 +548,16 @@ impl Reply {
             shutdown: false,
         }
     }
+
+    /// The reply's wire bytes: the header line, then the payload.
+    fn frame(&self) -> String {
+        let mut frame = serde_json::to_string(&self.header).expect("header serialises");
+        frame.push('\n');
+        if let Some(body) = &self.payload {
+            frame.push_str(body);
+        }
+        frame
+    }
 }
 
 /// Computes a `run` response body: per-experiment reports out of the cache
@@ -698,6 +725,11 @@ fn stats_value(state: &ServeState) -> Value {
         ("max_bytes".to_string(), Value::U64(cache.max_bytes)),
     ]);
     drop(cache);
+    let memo = cache::input_memo_gauge();
+    let memo_value = Value::Object(vec![
+        ("entries".to_string(), Value::U64(memo.entries)),
+        ("bytes".to_string(), Value::U64(memo.bytes)),
+    ]);
     let compute = Value::Object(vec![
         (
             "computed".to_string(),
@@ -726,6 +758,7 @@ fn stats_value(state: &ServeState) -> Value {
                     Value::U64(state.errors.load(Ordering::SeqCst)),
                 ),
                 ("cache".to_string(), cache_value),
+                ("memo".to_string(), memo_value),
                 ("compute".to_string(), compute),
                 (
                     "pool".to_string(),
@@ -762,10 +795,14 @@ fn respond(state: &ServeState, request: Request) -> Result<Reply, String> {
     }
 }
 
-/// Handles one request line, mapping every failure to an error reply.
-fn handle_request(state: &ServeState, line: &str) -> Reply {
+/// Handles one request line (or the error of reading it), mapping every
+/// failure to an error reply.
+fn handle_request(state: &ServeState, line: Result<&str, String>) -> Reply {
     state.requests.fetch_add(1, Ordering::SeqCst);
-    match parse_request(line).and_then(|request| respond(state, request)) {
+    match line
+        .and_then(parse_request)
+        .and_then(|request| respond(state, request))
+    {
         Ok(reply) => reply,
         Err(message) => {
             state.errors.fetch_add(1, Ordering::SeqCst);
@@ -774,9 +811,13 @@ fn handle_request(state: &ServeState, line: &str) -> Reply {
     }
 }
 
-/// Serves one connection: read request lines, write header + payload per
-/// request, until the peer hangs up (or asks for shutdown).
+/// Serves one connection: read request lines, write one framed reply per
+/// request, until the peer hangs up (or asks for shutdown, or sends an
+/// over-long line).
 fn handle_connection(state: &ServeState, stream: TcpStream) {
+    if let Err(e) = stream.set_nodelay(true) {
+        eprintln!("serve: cannot set TCP_NODELAY: {e}");
+    }
     let reader = match stream.try_clone() {
         Ok(clone) => clone,
         Err(e) => {
@@ -789,7 +830,7 @@ fn handle_connection(state: &ServeState, stream: TcpStream) {
     let mut line = String::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        match reader.by_ref().take(MAX_REQUEST_LINE).read_line(&mut line) {
             Ok(0) => break,
             Ok(_) => {}
             Err(e) => {
@@ -797,20 +838,37 @@ fn handle_connection(state: &ServeState, stream: TcpStream) {
                 break;
             }
         }
-        if line.trim().is_empty() {
+        let too_long = line.len() as u64 == MAX_REQUEST_LINE && !line.ends_with('\n');
+        let request = if too_long {
+            Err(format!(
+                "request line longer than {MAX_REQUEST_LINE} bytes; closing the connection"
+            ))
+        } else {
+            Ok(line.trim())
+        };
+        if request.as_ref().is_ok_and(|text| text.is_empty()) {
             continue;
         }
-        let reply = handle_request(state, line.trim());
-        let mut header = serde_json::to_string(&reply.header).expect("header serialises");
-        header.push('\n');
-        let write = writer
-            .write_all(header.as_bytes())
-            .and_then(|_| match &reply.payload {
-                Some(body) => writer.write_all(body.as_bytes()),
-                None => Ok(()),
-            });
-        if let Err(e) = write.and_then(|_| writer.flush()) {
+        let computed = state.computed.load(Ordering::SeqCst);
+        let reply = handle_request(state, request);
+        // One write per reply: split into header and payload writes, a small
+        // payload would wait on the client's delayed ACK of the header.
+        if let Err(e) = writer.write_all(reply.frame().as_bytes()) {
             eprintln!("serve: write failed: {e}");
+            break;
+        }
+        // The result cache keeps what a computation produced; the inputs
+        // it generated are only worth keeping while another computation
+        // may still share them. Releasing per request rather than per
+        // cache unit keeps the helium system table4 and table5 share in
+        // one `run` from being generated twice.
+        if state.computed.load(Ordering::SeqCst) != computed && lock(&state.flights).is_empty() {
+            cache::release_idle_inputs();
+        }
+        // The rest of an over-long line cannot be framed; hang up. Shut the
+        // socket down explicitly: the acceptor still holds a clone of it.
+        if too_long {
+            writer.shutdown(Shutdown::Both).ok();
             break;
         }
         if reply.shutdown {

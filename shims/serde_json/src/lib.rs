@@ -21,11 +21,17 @@ pub fn to_string_pretty<T: serde::Serialize>(value: &T) -> Result<String, Error>
     Ok(out)
 }
 
+/// Deepest array/object nesting [`from_str`] accepts (the real
+/// `serde_json` default). The parser recurses once per level, so without a
+/// bound a line of `[`s would overflow the stack and abort the process.
+const MAX_DEPTH: usize = 128;
+
 /// Parses JSON text into any deserialisable type.
 pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
     let mut parser = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
@@ -133,6 +139,8 @@ fn write_json_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -168,11 +176,26 @@ impl Parser<'_> {
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(_) => self.parse_number(),
             None => Err(Error::new("unexpected end of JSON input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "JSON nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, Error> {
@@ -343,6 +366,20 @@ mod tests {
         // Unpaired or malformed surrogates are rejected, not mis-decoded.
         assert!(crate::from_str::<String>("\"\\ud835\"").is_err());
         assert!(crate::from_str::<String>("\"\\ud835\\u0041\"").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(crate::from_str::<serde::value::Value>(&nested(crate::MAX_DEPTH)).is_ok());
+        let err = crate::from_str::<serde::value::Value>(&nested(crate::MAX_DEPTH + 1))
+            .expect_err("one level too deep");
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        // Objects count too, and a line of 200,000 `[` is an error, not a
+        // stack overflow.
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(200), "}".repeat(200));
+        assert!(crate::from_str::<serde::value::Value>(&objects).is_err());
+        assert!(crate::from_str::<serde::value::Value>(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -5,14 +5,17 @@
 //! compute counter flat), identical concurrent requests must coalesce onto
 //! exactly one computation (pinned via the `MOJO_HPC_SERVE_SLOW_MS` chaos
 //! seam), and oversized sweeps must spill through the launcher layer while
-//! keeping the same bytes.
+//! keeping the same bytes. Hostile input (a request nested 200,000 levels
+//! deep, a request line past the 1 MiB cap) gets a typed error and leaves
+//! the daemon serving; cached small replies arrive without a delayed-ACK
+//! stall; and the input memos are empty again once the misses finish.
 
 use serde::value::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn mojo_hpc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_mojo-hpc"))
@@ -488,4 +491,106 @@ fn shutdown_verb_stops_the_server() {
         std::thread::sleep(Duration::from_millis(100));
     }
     panic!("the listener is still accepting connections after shutdown");
+}
+
+#[test]
+fn cached_small_replies_arrive_without_a_stall() {
+    // Split into a header write and a payload write, each small reply
+    // waited on the client's delayed ACK (~40 ms): 50 round trips took over
+    // 2 s. One framed write on a TCP_NODELAY socket takes a few ms in all.
+    let server = Server::start("latency", &[], &[]);
+    let mut client = server.connect();
+    let request = r#"{"cmd":"sweep","workload":"stencil","sizes":[16],"format":"json"}"#;
+    let (first, expected) = client.request(request);
+    assert_eq!(str_field(&first, "status"), "ok");
+    let start = Instant::now();
+    for _ in 0..50 {
+        let (header, payload) = client.request(request);
+        assert!(bool_field(&header, "cached"));
+        assert_eq!(payload, expected);
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 cached round trips took {elapsed:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn input_memos_are_released_once_misses_finish() {
+    let server = Server::start("memo", &[], &[]);
+    let mut client = server.connect();
+    for request in [
+        r#"{"cmd":"sweep","workload":"stencil","sizes":[12,18],"format":"json"}"#,
+        r#"{"cmd":"sweep","workload":"stencil","sizes":[14],"params":{"precision":"fp32"},"format":"csv"}"#,
+        r#"{"cmd":"sweep","workload":"jacobi","sizes":[8,9],"format":"json"}"#,
+    ] {
+        let (header, _) = client.request(request);
+        assert_eq!(str_field(&header, "status"), "ok", "request {request}");
+        assert!(
+            !bool_field(&header, "cached"),
+            "request {request} is a miss"
+        );
+    }
+    let stats = client.stats();
+    assert_eq!(counter(&stats, "compute", "computed"), 5);
+    assert_eq!(
+        counter(&stats, "memo", "entries"),
+        0,
+        "no input may stay memoized once its computation is done: {stats:?}"
+    );
+    assert_eq!(counter(&stats, "memo", "bytes"), 0);
+    server.shutdown();
+}
+
+#[test]
+fn deeply_nested_json_is_an_error_not_an_abort() {
+    let server = Server::start("nesting", &[], &[]);
+    let mut client = server.connect();
+    let (header, payload) = client.request(&"[".repeat(200_000));
+    assert_eq!(str_field(&header, "status"), "error");
+    assert!(
+        str_field(&header, "error").contains("nesting"),
+        "{header:?}"
+    );
+    assert!(payload.is_empty());
+    // The daemon survived: a second connection still gets `stats`.
+    let stats = server.connect().stats();
+    assert_eq!(as_u64(field(&stats, "errors")), 1);
+    server.shutdown();
+}
+
+#[test]
+fn over_long_request_lines_are_refused_and_the_connection_closed() {
+    let server = Server::start("line-cap", &[], &[]);
+    let stream = TcpStream::connect(server.addr).expect("connect to serve");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("set read timeout");
+    // Two MiB without a newline, then one: the server stops reading at the
+    // 1 MiB cap, so the tail of this write may fail once it hangs up.
+    let mut writer = stream.try_clone().expect("clone stream");
+    let sender = std::thread::spawn(move || {
+        let mut line = vec![b' '; 2 << 20];
+        line.push(b'\n');
+        writer.write_all(&line).ok();
+    });
+    let mut reader = BufReader::new(stream);
+    let mut header = String::new();
+    reader.read_line(&mut header).expect("read header");
+    let header: Value = serde_json::from_str(header.trim()).expect("header is JSON");
+    assert_eq!(str_field(&header, "status"), "error");
+    assert!(
+        str_field(&header, "error").contains("longer than 1048576 bytes"),
+        "{header:?}"
+    );
+    // Then the server hangs up.
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).ok();
+    assert!(rest.is_empty(), "nothing may follow the error reply");
+    sender.join().expect("sender thread");
+    let stats = server.connect().stats();
+    assert_eq!(as_u64(field(&stats, "errors")), 1);
+    server.shutdown();
 }
