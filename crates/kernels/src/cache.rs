@@ -581,7 +581,7 @@ pub fn jacobi_reference(
             l: config.l,
             iters: config.iters,
         },
-        || crate::jacobi::reference_jacobi(config),
+        || crate::jacobi::solve_host(config),
     )
 }
 

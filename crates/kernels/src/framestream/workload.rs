@@ -62,13 +62,14 @@ impl Workload for FrameStreamWorkload {
     fn run_lane(
         &self,
         params: &Params,
-        policy: crate::simd::LanePolicy,
+        _policy: crate::simd::LanePolicy,
     ) -> Result<WorkloadOutput, WorkloadError> {
+        // The frame stream has no SIMD lane: every policy runs the same code.
         self.validate(params)?;
         let config = config(params)?;
         let mut measurements = PooledVec::new();
         for platform in paper_platform_pairs() {
-            let run = super::run_lane(platform, &config, policy)?;
+            let run = super::run(platform, &config)?;
             let fom =
                 framestream_bandwidth_gbs(config.n as u64, config.frames as u64, run.seconds());
             measurements.push(Measurement::from_run(&run, fom));

@@ -26,7 +26,7 @@ pub mod workload;
 pub use config::{HartreeFockConfig, DEFAULT_SCREENING_TOL, MAX_FUNCTIONAL_NATOMS};
 pub use cost::{hartree_fock_cost, surviving_quartets};
 pub use geometry::HeliumSystem;
-pub use portable::{run_portable, run_portable_lane};
+pub use portable::run_portable;
 pub use reference::{quartet_eri, reference_fock};
 pub use sampled::{
     run_sampled, run_sampled_weighted, shard_ranges, SampleWeighting, SampledPlan,
@@ -36,25 +36,13 @@ pub use triangular::{pair_count, pair_decode, pair_encode, quartet_decode};
 pub use vendor::run_vendor;
 
 use crate::common::WorkloadRun;
-use crate::simd::{self, LanePolicy};
 use gpu_sim::SimError;
 use vendor_models::Platform;
 
-/// Runs the Hartree–Fock workload on a platform, dispatching on the backend,
-/// under the process-wide lane policy.
+/// Runs the Hartree–Fock workload on a platform, dispatching on the backend.
 pub fn run(platform: &Platform, config: &HartreeFockConfig) -> Result<WorkloadRun, SimError> {
-    run_lane(platform, config, simd::process_policy())
-}
-
-/// Runs the Hartree–Fock workload under an explicit lane policy. The vendor
-/// baselines have no host fast lane and ignore the policy.
-pub fn run_lane(
-    platform: &Platform,
-    config: &HartreeFockConfig,
-    policy: LanePolicy,
-) -> Result<WorkloadRun, SimError> {
     if platform.backend.is_portable() {
-        run_portable_lane(platform, config, policy)
+        run_portable(platform, config)
     } else {
         run_vendor(platform, config)
     }

@@ -11,27 +11,14 @@ use super::reference::quartet_eri;
 use super::triangular::pair_decode;
 use crate::cache;
 use crate::common::{compare_slices, Verification, WorkloadRun};
-use crate::simd::{self, Lane, LanePolicy};
 use gpu_sim::{istr, istr_fmt, SimError};
 use portable_kernel::prelude::*;
 use vendor_models::{heuristics, KernelClass, Platform};
 
-/// Runs the portable Hartree–Fock kernel on `platform` under the
-/// process-wide lane policy.
+/// Runs the portable Hartree–Fock kernel on `platform`.
 pub fn run_portable(
     platform: &Platform,
     config: &HartreeFockConfig,
-) -> Result<WorkloadRun, SimError> {
-    run_portable_lane(platform, config, simd::process_policy())
-}
-
-/// Runs the portable Hartree–Fock kernel under an explicit lane policy. The
-/// lane picks the host verification scan; both scans return bit-identical
-/// results, so Hartree–Fock rows are byte-identical on every lane.
-pub fn run_portable_lane(
-    platform: &Platform,
-    config: &HartreeFockConfig,
-    policy: LanePolicy,
 ) -> Result<WorkloadRun, SimError> {
     let system = cache::helium_system(config);
     let cost = hartree_fock_cost(config, &system);
@@ -41,10 +28,9 @@ pub fn run_portable_lane(
     };
     let profile = platform.execution_profile(&class);
     let timing = cache::timing_model(platform).estimate(&cost, &profile);
-    let lane = simd::resolve(policy, simd::KERNEL_FOCK_ERI, u64::from(config.natoms));
 
     let verification = if config.should_execute() {
-        execute(platform, config, &system, lane)?
+        execute(platform, config, &system)?
     } else {
         Verification::Skipped {
             reason: istr_fmt(format_args!(
@@ -69,7 +55,6 @@ fn execute(
     platform: &Platform,
     config: &HartreeFockConfig,
     system: &HeliumSystem,
-    lane: Lane,
 ) -> Result<Verification, SimError> {
     let natoms = system.natoms;
     let ctx = DeviceContext::from_device(cache::device(platform));
@@ -120,11 +105,7 @@ fn execute(
     let expected = cache::hartree_fock_reference(config);
     let mut actual: PooledVec<f64> = PooledVec::new();
     fock.to_host_into(&mut actual);
-    let compared = match lane {
-        Lane::Deterministic => compare_slices(&actual, &expected, 1e-9),
-        Lane::Simd => simd::compare_slices_unrolled(&actual, &expected, 1e-9),
-    };
-    match compared {
+    match compare_slices(&actual, &expected, 1e-9) {
         Ok(max_abs_error) => Ok(Verification::Passed { max_abs_error }),
         Err(msg) => Err(SimError::InvalidParameter(format!(
             "Hartree-Fock verification failed: {msg}"

@@ -104,10 +104,9 @@ pub fn reference_fock(system: &HeliumSystem, screening_tol: f64) -> Vec<f64> {
         .reduce(
             || vec![0.0f64; natoms * natoms],
             |mut acc, partial| {
-                // Unrolled element-wise combine: bitwise-identical to the
-                // scalar loop (each index accumulates in the same order), so
-                // the golden bytes are unaffected.
-                crate::simd::add_assign_unrolled(&mut acc, &partial);
+                for (a, p) in acc.iter_mut().zip(&partial) {
+                    *a += p;
+                }
                 acc
             },
         )

@@ -86,13 +86,15 @@ impl Workload for HartreeFockWorkload {
     fn run_lane(
         &self,
         params: &Params,
-        policy: crate::simd::LanePolicy,
+        _policy: crate::simd::LanePolicy,
     ) -> Result<WorkloadOutput, WorkloadError> {
+        // The Hartree–Fock drivers have no SIMD lane (the fast ERI kernel
+        // lives in `simd::lane_kernels`): every policy runs the same code.
         self.validate(params)?;
         let config = config(params)?;
         let mut measurements = PooledVec::new();
         for platform in paper_platform_pairs() {
-            let run = super::run_lane(platform, &config, policy)?;
+            let run = super::run(platform, &config)?;
             let fom = run.millis();
             measurements.push(Measurement::from_run(&run, fom));
         }

@@ -16,9 +16,8 @@ pub const RESIDUAL_REDUCTION: f64 = 1e-3;
 /// far inside `u64` for every admissible grid.
 pub const MAX_JACOBI_ITERS: usize = 100_000;
 
-/// Six-neighbour average coefficient; shared by the host lanes, the device
-/// kernels and the CPU reference so every path computes bitwise-identical
-/// sweeps.
+/// Six-neighbour average coefficient; shared by the device kernels and the
+/// CPU reference so every path computes bitwise-identical sweeps.
 pub const SIXTH: f64 = 1.0 / 6.0;
 
 /// Configuration of one Jacobi-solver experiment. The solver runs in FP64

@@ -4,22 +4,21 @@
 //! grid sweep by sweep through ping-ponged `LayoutTensor`s — one launch per
 //! iteration, exactly as a real single-source port would — and the host runs
 //! the convergence-norm reduction between launches. The number of sweeps is
-//! fixed by the memoized deterministic reference solve, so every lane and
-//! every thread count executes the same launch sequence.
+//! fixed by the memoized reference solve, so every platform and every
+//! thread count executes the same launch sequence.
 
 use super::config::{JacobiConfig, SIXTH};
 use super::cost::jacobi_cost;
 use super::reference::residual_rms;
 use crate::cache;
 use crate::common::{compare_with_reference, Verification, WorkloadRun};
-use crate::simd::{self, Lane, LanePolicy};
 use gpu_sim::{istr, istr_fmt, SimError};
 use portable_kernel::prelude::*;
 use vendor_models::{heuristics, KernelClass, Platform};
 
 /// The portable Jacobi sweep body: replaces one interior cell with the
 /// average of its six face neighbours (the same expression, in the same
-/// association, as the host lanes and the CPU reference).
+/// association, as the CPU reference).
 #[inline]
 fn jacobi_kernel(
     t: ThreadCtx,
@@ -41,20 +40,8 @@ fn jacobi_kernel(
     }
 }
 
-/// Runs the portable Jacobi solve on `platform` under the process-wide lane
-/// policy.
+/// Runs the portable Jacobi solve on `platform`.
 pub fn run_portable(platform: &Platform, config: &JacobiConfig) -> Result<WorkloadRun, SimError> {
-    run_portable_lane(platform, config, simd::process_policy())
-}
-
-/// Runs the portable Jacobi solve under an explicit lane policy. The lane
-/// picks the host verification scan and the convergence-norm reduction; the
-/// sweep itself is bitwise-identical on every lane.
-pub fn run_portable_lane(
-    platform: &Platform,
-    config: &JacobiConfig,
-    policy: LanePolicy,
-) -> Result<WorkloadRun, SimError> {
     let iters = super::planned_iters(config);
     let cost = jacobi_cost(config, iters);
     let class = KernelClass::Stencil7 {
@@ -62,10 +49,9 @@ pub fn run_portable_lane(
     };
     let profile = platform.execution_profile(&class);
     let timing = cache::timing_model(platform).estimate(&cost, &profile);
-    let lane = simd::resolve(policy, simd::KERNEL_JACOBI, config.l as u64);
 
     let verification = if config.should_execute() {
-        execute(platform, config, lane)?
+        execute(platform, config)?
     } else {
         Verification::Skipped {
             reason: istr_fmt(format_args!(
@@ -86,11 +72,7 @@ pub fn run_portable_lane(
     })
 }
 
-fn execute(
-    platform: &Platform,
-    config: &JacobiConfig,
-    lane: Lane,
-) -> Result<Verification, SimError> {
+fn execute(platform: &Platform, config: &JacobiConfig) -> Result<Verification, SimError> {
     let l = config.l;
     let layout = Layout::row_major_3d(l, l, l);
     let seed = cache::stencil_grid(&super::reference::seed_config(config));
@@ -124,14 +106,10 @@ fn execute(
     // Device and reference run the same f64 expression in the same order, so
     // the grids agree bitwise; the f64 driver tolerance guards the compare.
     let tolerance = <f64 as crate::real::Real>::tolerance();
-    let compared = match lane {
-        Lane::Deterministic => compare_with_reference(&actual, &reference.grid, tolerance),
-        Lane::Simd => simd::compare_with_reference_unrolled(&actual, &reference.grid, tolerance),
-    };
-    let max_abs_error = compared
+    let max_abs_error = compare_with_reference(&actual, &reference.grid, tolerance)
         .map_err(|msg| SimError::InvalidParameter(format!("jacobi verification failed: {msg}")))?;
 
-    let residual = residual_rms(&actual, &previous, config.interior_cells() as f64, lane);
+    let residual = residual_rms(&actual, &previous, config.interior_cells() as f64);
     let golden = reference.residuals[reference.iters_run - 1];
     let rel = (residual - golden).abs() / golden.abs().max(1e-300);
     if rel > 1e-12 {
@@ -160,10 +138,22 @@ mod tests {
 
     #[test]
     fn simd_lane_verifies_too() {
-        let config = JacobiConfig::validation(10, 150);
-        let run =
-            run_portable_lane(&Platform::portable_mi300a(), &config, LanePolicy::Simd).unwrap();
-        assert!(run.verification.is_verified());
+        // Jacobi has no SIMD lane: a forced `simd` policy runs the default
+        // code and produces the default rows.
+        use crate::simd::LanePolicy;
+        use crate::workload::Workload;
+        let workload = crate::jacobi::workload::JacobiWorkload;
+        let mut params = workload.default_params();
+        params.apply_encoding("l=10,iters=150").unwrap();
+        let simd = workload.run_lane(&params, LanePolicy::Simd).unwrap();
+        let det = workload
+            .run_lane(&params, LanePolicy::Deterministic)
+            .unwrap();
+        assert!(simd
+            .measurements
+            .iter()
+            .all(|m| m.verification.starts_with("passed(")));
+        assert_eq!(simd.measurements.as_slice(), det.measurements.as_slice());
     }
 
     #[test]

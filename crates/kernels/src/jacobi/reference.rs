@@ -2,13 +2,10 @@
 //!
 //! The solver alternates a six-neighbour relaxation sweep with an RMS
 //! iterate-difference norm — the composite multi-pass stencil+reduction
-//! pattern of DESIGN.md §15. Both lanes run the *same* per-cell sweep
-//! expression (bitwise-identical grids); only the norm reduction
-//! reassociates on the SIMD lane, within the documented 1e-12.
+//! pattern of DESIGN.md §15.
 
-use super::config::{JacobiConfig, RESIDUAL_REDUCTION};
+use super::config::{JacobiConfig, RESIDUAL_REDUCTION, SIXTH};
 use crate::cache;
-use crate::simd::{self, Lane};
 use crate::stencil7::StencilConfig;
 use gpu_sim::PooledVec;
 use gpu_spec::Precision;
@@ -35,28 +32,46 @@ pub fn seed_config(config: &JacobiConfig) -> StencilConfig {
     StencilConfig::validation(config.l, Precision::Fp64)
 }
 
+/// One interior cell of the six-neighbour Jacobi average — the exact
+/// expression (and operation order) of the device kernels: pairwise
+/// neighbour sums, then `× 1/6`.
+#[inline]
+fn jacobi_point(u: &[f64], idx: usize, l: usize) -> f64 {
+    (((u[idx - l * l] + u[idx + l * l]) + (u[idx - l] + u[idx + l])) + (u[idx - 1] + u[idx + 1]))
+        * SIXTH
+}
+
+/// Applies one Jacobi sweep to every interior cell of `u`, writing `out`.
+fn jacobi_sweep(out: &mut [f64], u: &[f64], l: usize) {
+    for i in 1..l - 1 {
+        for j in 1..l - 1 {
+            let row = (i * l + j) * l;
+            for k in 1..l - 1 {
+                out[row + k] = jacobi_point(u, row + k, l);
+            }
+        }
+    }
+}
+
 /// RMS iterate-difference norm `sqrt(Σ (new−old)² / interior)`. Boundary
-/// cells never change, so the sum may safely span the whole grid. The
-/// deterministic lane uses the fixed-chunk pairwise tree the goldens pin;
-/// the SIMD lane folds each chunk with independent accumulators
-/// (`rayon`'s `sum_unrolled`), within 1e-12 relative.
-pub fn residual_rms(new: &[f64], old: &[f64], interior_cells: f64, lane: Lane) -> f64 {
+/// cells never change, so the sum may safely span the whole grid. The sum
+/// is the fixed-chunk pairwise tree the goldens pin.
+pub fn residual_rms(new: &[f64], old: &[f64], interior_cells: f64) -> f64 {
     let n = new.len().min(old.len());
-    let sq = |i: usize| {
-        let d = new[i] - old[i];
-        d * d
-    };
-    let sum: f64 = match lane {
-        Lane::Deterministic => (0..n).into_par_iter().map(sq).sum(),
-        Lane::Simd => (0..n).into_par_iter().map(sq).sum_unrolled(),
-    };
+    let sum: f64 = (0..n)
+        .into_par_iter()
+        .map(|i| {
+            let d = new[i] - old[i];
+            d * d
+        })
+        .sum();
     (sum / interior_cells).sqrt()
 }
 
-/// Runs the Jacobi solve on the host under an explicit lane. Stops at the
-/// documented residual target ([`RESIDUAL_REDUCTION`] × the first residual)
-/// or at the configured iteration cap, whichever comes first.
-pub fn solve_host(config: &JacobiConfig, lane: Lane) -> JacobiSolution {
+/// Runs the Jacobi solve on the host: the CPU golden reference. Stops at the documented residual
+/// target ([`RESIDUAL_REDUCTION`] × the first residual) or at the configured
+/// iteration cap, whichever comes first.
+pub fn solve_host(config: &JacobiConfig) -> JacobiSolution {
     let l = config.l;
     let seed = cache::stencil_grid(&seed_config(config));
     let mut u: PooledVec<f64> = PooledVec::with_capacity(seed.len());
@@ -68,11 +83,8 @@ pub fn solve_host(config: &JacobiConfig, lane: Lane) -> JacobiSolution {
     let mut converged = false;
     let mut target = f64::INFINITY;
     for _ in 0..config.iters {
-        match lane {
-            Lane::Deterministic => simd::jacobi_sweep_scalar(next.as_mut_slice(), &u, l),
-            Lane::Simd => simd::jacobi_sweep(next.as_mut_slice(), &u, l),
-        }
-        let r = residual_rms(&next, &u, interior, lane);
+        jacobi_sweep(next.as_mut_slice(), &u, l);
+        let r = residual_rms(&next, &u, interior);
         std::mem::swap(&mut u, &mut next);
         residuals.push(r);
         if residuals.len() == 1 {
@@ -92,18 +104,13 @@ pub fn solve_host(config: &JacobiConfig, lane: Lane) -> JacobiSolution {
     }
 }
 
-/// The CPU golden reference: the deterministic-lane host solve.
-pub fn reference_jacobi(config: &JacobiConfig) -> JacobiSolution {
-    solve_host(config, Lane::Deterministic)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn default_sized_solve_converges_before_the_cap() {
-        let solution = reference_jacobi(&JacobiConfig::validation(16, 400));
+        let solution = solve_host(&JacobiConfig::validation(16, 400));
         assert!(solution.converged);
         assert!(solution.iters_run < 400);
         let first = solution.residuals[0];
@@ -115,7 +122,7 @@ mod tests {
     fn residuals_are_monotonically_non_increasing() {
         // The Jacobi iteration matrix for the constant-diagonal Laplacian is
         // symmetric, so the iterate-difference 2-norm contracts every sweep.
-        let solution = reference_jacobi(&JacobiConfig::validation(12, 200));
+        let solution = solve_host(&JacobiConfig::validation(12, 200));
         for pair in solution.residuals.as_slice().windows(2) {
             assert!(
                 pair[1] <= pair[0],
@@ -128,7 +135,7 @@ mod tests {
 
     #[test]
     fn a_tight_cap_stops_the_solve_unconverged() {
-        let solution = reference_jacobi(&JacobiConfig::validation(16, 5));
+        let solution = solve_host(&JacobiConfig::validation(16, 5));
         assert!(!solution.converged);
         assert_eq!(solution.iters_run, 5);
     }
@@ -137,25 +144,12 @@ mod tests {
     fn boundary_cells_carry_the_seed_field() {
         let config = JacobiConfig::validation(8, 50);
         let seed = cache::stencil_grid(&seed_config(&config));
-        let solution = reference_jacobi(&config);
+        let solution = solve_host(&config);
         let l = config.l;
         assert_eq!(solution.grid[0], seed[0]);
         assert_eq!(solution.grid[l * l * l - 1], seed[l * l * l - 1]);
         // Interior cells relaxed away from the seed.
         let mid = (l / 2 * l + l / 2) * l + l / 2;
         assert_ne!(solution.grid[mid], seed[mid]);
-    }
-
-    #[test]
-    fn both_lanes_produce_bitwise_identical_grids() {
-        let config = JacobiConfig::validation(10, 80);
-        let det = solve_host(&config, Lane::Deterministic);
-        let simd = solve_host(&config, Lane::Simd);
-        assert_eq!(det.iters_run, simd.iters_run);
-        assert_eq!(det.grid.as_slice(), simd.grid.as_slice());
-        for (a, b) in det.residuals.iter().zip(simd.residuals.iter()) {
-            let rel = (a - b).abs() / a.abs().max(1e-300);
-            assert!(rel <= 1e-12, "residual lane divergence {rel:.3e}");
-        }
     }
 }

@@ -62,14 +62,15 @@ impl Workload for JacobiWorkload {
     fn run_lane(
         &self,
         params: &Params,
-        policy: crate::simd::LanePolicy,
+        _policy: crate::simd::LanePolicy,
     ) -> Result<WorkloadOutput, WorkloadError> {
+        // Jacobi has no SIMD lane: every policy runs the same code.
         self.validate(params)?;
         let config = config(params)?;
         let iters = planned_iters(&config);
         let mut measurements = PooledVec::new();
         for platform in paper_platform_pairs() {
-            let run = super::run_lane(platform, &config, policy)?;
+            let run = super::run(platform, &config)?;
             let fom = jacobi_bandwidth_gbs(config.l as u64, iters as u64, run.seconds());
             measurements.push(Measurement::from_run(&run, fom));
         }

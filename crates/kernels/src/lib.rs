@@ -26,7 +26,6 @@
 //!   `mojo-hpc sweep` engine and the bench presets share.
 
 #![warn(missing_docs)]
-#![cfg_attr(feature = "nightly-simd", feature(portable_simd))]
 
 pub mod babelstream;
 pub mod cache;

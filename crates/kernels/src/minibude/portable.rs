@@ -13,25 +13,12 @@ use super::cost::fasten_cost;
 use super::reference::{pair_energy, transform_point, HALF};
 use crate::cache;
 use crate::common::{compare_slices_f32, Verification, WorkloadRun};
-use crate::simd::{self, Lane, LanePolicy};
 use gpu_sim::{istr, SimError};
 use portable_kernel::prelude::*;
 use vendor_models::{heuristics, KernelClass, Platform};
 
-/// Runs the portable fasten kernel on `platform` under the process-wide lane
-/// policy.
+/// Runs the portable fasten kernel on `platform`.
 pub fn run_portable(platform: &Platform, config: &MiniBudeConfig) -> Result<WorkloadRun, SimError> {
-    run_portable_lane(platform, config, simd::process_policy())
-}
-
-/// Runs the portable fasten kernel under an explicit lane policy. The lane
-/// picks the host verification scan; both scans return bit-identical results,
-/// so fasten rows are byte-identical on every lane.
-pub fn run_portable_lane(
-    platform: &Platform,
-    config: &MiniBudeConfig,
-    policy: LanePolicy,
-) -> Result<WorkloadRun, SimError> {
     let cost = fasten_cost(config);
     let class = KernelClass::BudeFasten {
         ppwi: config.ppwi,
@@ -39,14 +26,9 @@ pub fn run_portable_lane(
     };
     let profile = platform.execution_profile(&class);
     let timing = cache::timing_model(platform).estimate(&cost, &profile);
-    let lane = simd::resolve(
-        policy,
-        simd::KERNEL_MINIBUDE_POSE,
-        config.executed_poses as u64,
-    );
 
     let verification = if config.should_execute() {
-        execute(platform, config, lane)?
+        execute(platform, config)?
     } else {
         Verification::Skipped {
             reason: istr("functional execution disabled (executed_poses = 0)"),
@@ -141,11 +123,7 @@ fn fasten_kernel<const PPWI: usize>(t: ThreadCtx, args: &FastenArgs) {
     }
 }
 
-fn execute(
-    platform: &Platform,
-    config: &MiniBudeConfig,
-    lane: Lane,
-) -> Result<Verification, SimError> {
+fn execute(platform: &Platform, config: &MiniBudeConfig) -> Result<Verification, SimError> {
     let deck = cache::minibude_deck(config);
     let flats = cache::minibude_flats(config);
     let nposes = config.executed_poses;
@@ -189,11 +167,7 @@ fn execute(
     // The kernel computes the same f32 expression sequence as the reference,
     // but the summation order over ligand atoms can differ in optimised
     // builds, so allow a small relative tolerance.
-    let compared = match lane {
-        Lane::Deterministic => compare_slices_f32(&actual, &expected, 2e-3),
-        Lane::Simd => simd::compare_slices_f32_unrolled(&actual, &expected, 2e-3),
-    };
-    match compared {
+    match compare_slices_f32(&actual, &expected, 2e-3) {
         Ok(max_abs_error) => Ok(Verification::Passed { max_abs_error }),
         Err(msg) => Err(SimError::InvalidParameter(format!(
             "fasten verification failed: {msg}"

@@ -84,8 +84,10 @@ impl Workload for MiniBudeWorkload {
     fn run_lane(
         &self,
         params: &Params,
-        policy: crate::simd::LanePolicy,
+        _policy: crate::simd::LanePolicy,
     ) -> Result<WorkloadOutput, WorkloadError> {
+        // The fasten drivers have no SIMD lane (the fast pose kernel lives in
+        // `simd::lane_kernels`): every policy runs the same code.
         self.validate(params)?;
         let config = config(params)?;
         let sizes = MiniBudeSizes {
@@ -96,7 +98,7 @@ impl Workload for MiniBudeWorkload {
         };
         let mut measurements = PooledVec::new();
         for platform in paper_platform_pairs() {
-            let run = super::run_lane(platform, &config, policy)?;
+            let run = super::run(platform, &config)?;
             let fom = minibude_gflops(&sizes, run.seconds());
             measurements.push(Measurement::from_run(&run, fom));
         }

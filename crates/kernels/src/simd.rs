@@ -1,6 +1,7 @@
-//! The explicit SIMD fast lane and its measured crossover tables.
+//! The explicit SIMD fast lane and its measured crossover table.
 //!
-//! Every hot kernel in this crate has two implementations:
+//! Three kernels have two implementations — the only three whose measured
+//! speedup clears [`AUTO_MIN_SPEEDUP`]:
 //!
 //! * the **deterministic lane** — scalar loops and the fixed-chunk pairwise
 //!   tree reduction of the rayon shim. Bitwise-stable across thread counts;
@@ -9,82 +10,45 @@
 //!   independent `f64`/`f32` accumulators) that break the floating-point
 //!   dependency chain so the out-of-order core can keep its FMA ports busy.
 //!   Strict IEEE, no fast-math: the only liberty taken is *reassociation*,
-//!   and only where it is either exactly neutral (element-wise streams,
-//!   max-reductions, the stencil) or bounded by a documented per-kernel
-//!   tolerance (reassociated `f64`/`f32` sums).
+//!   bounded by a documented per-kernel tolerance.
+//!
+//! Every other kernel (the element-wise streams, the stencil, Jacobi and the
+//! frame stream) measured at or below parity and has the deterministic lane
+//! only; `--lane simd|auto` runs the same code for them.
 //!
 //! Which lane runs is decided per kernel per size by [`resolve`], driven by a
 //! [`LanePolicy`]: `deterministic` (the default — golden output stays
 //! byte-identical), `simd` (force the fast lane), or `auto` (consult the
-//! bench-measured [`CrossoverTable`]). The crossover table is produced by
+//! committed [`CrossoverTable::builtin`]). The table is measured by
 //! `cargo bench -p bench --bench crossover`, written to
-//! `target/bench/crossover.json`, and a cross-machine default is committed at
-//! `crates/kernels/src/simd/crossover_default.json`; the `MOJO_HPC_CROSSOVER`
-//! environment variable points the resolver at a locally measured table.
+//! `target/bench/crossover.json`, and committed at
+//! `crates/kernels/src/simd/crossover_default.json`, so `auto` depends only
+//! on the build and the input.
 //!
 //! Per-kernel lane-parity tolerances (relative, proven by
 //! `tests/lane_parity.rs` and the unit tests below):
 //!
 //! | kernel | tolerance | why |
 //! |---|---|---|
-//! | `babelstream_copy`/`mul`/`add`/`triad`/`nstream` | exact (bitwise) | element-wise, no reassociation |
-//! | `stencil7` | exact (bitwise) | per-element expression unchanged, only the inner loop is unrolled |
 //! | `babelstream_dot` | 1e-12 | reassociated `f64` sum (4 accumulators per [`rayon::REDUCE_CHUNK`] chunk) |
 //! | `fock_eri` | 1e-12 | reassociated `f64` sum of quartet ERIs |
 //! | `minibude_pose` | 2e-3 | reassociated `f32` sum over protein atoms (the driver's own tolerance) |
-//! | `jacobi` | 1e-12 | bitwise-identical sweeps; the per-iteration convergence norm is a reassociated `f64` sum |
-//! | `framestream` | exact (bitwise) | element-wise EMA fold, no reassociation possible |
 //!
 //! All scratch comes from `gpu_sim::pool`, so steady-state launches with the
 //! SIMD lane active stay at zero global allocations
 //! (`tests/alloc_steady_state.rs`).
 
-use crate::babelstream::{INIT_A, INIT_B, INIT_C};
+use crate::babelstream::{INIT_A, INIT_B};
 use crate::cache;
 use crate::hartree_fock::{pair_decode, quartet_eri, HartreeFockConfig, HeliumSystem};
 use crate::minibude::{pair_energy, transform_point, Deck, MiniBudeConfig, HALF};
 use crate::real::Real;
-use crate::stencil7::StencilConfig;
-use gpu_sim::PooledVec;
-use gpu_spec::Precision;
 use rayon::prelude::*;
 use serde::value::Value;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
-
-/// Explicit `core::simd` variants, gated behind the opt-in `nightly-simd`
-/// cargo feature (requires a nightly toolchain with `portable_simd`). The
-/// stable builds ship the hand-unrolled scalar kernels of this module, which
-/// the auto-vectorizer lowers to the same vector instructions; this gated
-/// module exists so a nightly toolchain can compare against first-class
-/// `f64x4` codegen without changing any call site.
-#[cfg(feature = "nightly-simd")]
-pub mod portable_simd {
-    use core::simd::f64x4;
-    use core::simd::num::SimdFloat;
-
-    /// `f64x4` dot product: one vector accumulator, horizontal reduction at
-    /// the end, scalar tail. Same reassociation class as [`super::dot`].
-    pub fn dot_f64x4(a: &[f64], b: &[f64]) -> f64 {
-        let n = a.len().min(b.len());
-        let mut acc = f64x4::splat(0.0);
-        let mut i = 0;
-        while i + 4 <= n {
-            let va = f64x4::from_slice(&a[i..i + 4]);
-            let vb = f64x4::from_slice(&b[i..i + 4]);
-            acc += va * vb;
-            i += 4;
-        }
-        let mut total = acc.reduce_sum();
-        while i < n {
-            total += a[i] * b[i];
-            i += 1;
-        }
-        total
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Lanes and policies
@@ -202,13 +166,13 @@ pub fn process_policy() -> LanePolicy {
 }
 
 /// Resolves a policy to a concrete [`Lane`] for one kernel at one size.
-/// `Auto` consults the [active crossover table](CrossoverTable::active);
+/// `Auto` consults the [committed crossover table](CrossoverTable::builtin);
 /// kernels the table does not know fall back to the deterministic lane.
 pub fn resolve(policy: LanePolicy, kernel: &str, size: u64) -> Lane {
     match policy {
         LanePolicy::Deterministic => Lane::Deterministic,
         LanePolicy::Simd => Lane::Simd,
-        LanePolicy::Auto => CrossoverTable::active()
+        LanePolicy::Auto => CrossoverTable::builtin()
             .fastest_lane(kernel, size)
             .unwrap_or(Lane::Deterministic),
     }
@@ -218,6 +182,10 @@ pub fn resolve(policy: LanePolicy, kernel: &str, size: u64) -> Lane {
 // Kernel identifiers (crossover-table keys)
 // ---------------------------------------------------------------------------
 
+// The element-wise stream, stencil, Jacobi and frame-stream keys name
+// kernels without a SIMD lane: no table entry, so `auto` resolves them
+// deterministic.
+
 /// Crossover-table key of the BabelStream Copy kernel.
 pub const KERNEL_COPY: &str = "babelstream_copy";
 /// Crossover-table key of the BabelStream Mul kernel.
@@ -226,9 +194,6 @@ pub const KERNEL_MUL: &str = "babelstream_mul";
 pub const KERNEL_ADD: &str = "babelstream_add";
 /// Crossover-table key of the BabelStream Triad kernel.
 pub const KERNEL_TRIAD: &str = "babelstream_triad";
-/// Crossover-table key of the BabelStream Nstream kernel
-/// (`a[i] += b[i] + scalar * c[i]`, the classic sixth stream op).
-pub const KERNEL_NSTREAM: &str = "babelstream_nstream";
 /// Crossover-table key of the BabelStream Dot reduction.
 pub const KERNEL_DOT: &str = "babelstream_dot";
 /// Crossover-table key of the seven-point stencil inner loop.
@@ -237,9 +202,9 @@ pub const KERNEL_STENCIL7: &str = "stencil7";
 pub const KERNEL_MINIBUDE_POSE: &str = "minibude_pose";
 /// Crossover-table key of the Fock-matrix / ERI partial sums.
 pub const KERNEL_FOCK_ERI: &str = "fock_eri";
-/// Crossover-table key of the Jacobi sweep + convergence-norm iteration.
+/// Crossover-table key of the Jacobi solve.
 pub const KERNEL_JACOBI: &str = "jacobi";
-/// Crossover-table key of the frame-stream EMA accumulation.
+/// Crossover-table key of the frame-stream accumulation.
 pub const KERNEL_FRAMESTREAM: &str = "framestream";
 
 // ---------------------------------------------------------------------------
@@ -249,11 +214,12 @@ pub const KERNEL_FRAMESTREAM: &str = "framestream";
 /// Schema version of the crossover-table JSON.
 pub const CROSSOVER_SCHEMA: u64 = 1;
 
-/// Environment variable naming a locally measured crossover table that
-/// overrides the committed default for `--lane auto`.
-pub const CROSSOVER_ENV: &str = "MOJO_HPC_CROSSOVER";
+/// The smallest measured speedup at which the crossover bench records
+/// `simd` as the faster lane. Below it the SIMD lane is within measurement
+/// noise of parity, so `auto` keeps the golden deterministic lane.
+pub const AUTO_MIN_SPEEDUP: f64 = 1.05;
 
-/// The committed cross-machine default table (regenerated by
+/// The committed cross-machine table (regenerated by
 /// `cargo bench -p bench --bench crossover`).
 const DEFAULT_CROSSOVER_JSON: &str = include_str!("simd/crossover_default.json");
 
@@ -390,26 +356,6 @@ impl CrossoverTable {
             CrossoverTable::parse(DEFAULT_CROSSOVER_JSON).expect("committed crossover table parses")
         })
     }
-
-    /// The table `--lane auto` consults: the file named by
-    /// [`CROSSOVER_ENV`] when set and readable (a warning is printed and the
-    /// default used otherwise), else the committed default. Loaded once per
-    /// process.
-    pub fn active() -> &'static CrossoverTable {
-        static ACTIVE: OnceLock<CrossoverTable> = OnceLock::new();
-        ACTIVE.get_or_init(|| {
-            if let Ok(path) = std::env::var(CROSSOVER_ENV) {
-                match std::fs::read_to_string(&path)
-                    .map_err(|e| e.to_string())
-                    .and_then(|text| CrossoverTable::parse(&text))
-                {
-                    Ok(table) => return table,
-                    Err(e) => eprintln!("warning: ignoring {CROSSOVER_ENV}={path}: {e}"),
-                }
-            }
-            CrossoverTable::builtin().clone()
-        })
-    }
 }
 
 fn json_field<'a>(value: &'a Value, name: &str) -> Result<&'a Value, String> {
@@ -447,7 +393,7 @@ fn json_f64(value: &Value) -> Result<f64, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-accumulator stream kernels (element-wise: bitwise-exact)
+// Host copy (the roofline probe of the per-layer tracer)
 // ---------------------------------------------------------------------------
 
 /// BabelStream Copy, unrolled by 4. Element-wise: bitwise-identical to the
@@ -465,80 +411,6 @@ pub fn stream_copy<T: Real>(dst: &mut [T], src: &[T]) {
     }
     while i < n {
         d[i] = s[i];
-        i += 1;
-    }
-}
-
-/// BabelStream Mul (`dst[i] = scalar * src[i]`), unrolled by 4. Bitwise-exact.
-pub fn stream_mul<T: Real>(dst: &mut [T], src: &[T], scalar: T) {
-    let n = dst.len().min(src.len());
-    let (d, s) = (&mut dst[..n], &src[..n]);
-    let mut i = 0;
-    while i + 4 <= n {
-        d[i] = scalar * s[i];
-        d[i + 1] = scalar * s[i + 1];
-        d[i + 2] = scalar * s[i + 2];
-        d[i + 3] = scalar * s[i + 3];
-        i += 4;
-    }
-    while i < n {
-        d[i] = scalar * s[i];
-        i += 1;
-    }
-}
-
-/// BabelStream Add (`dst[i] = a[i] + b[i]`), unrolled by 4. Bitwise-exact.
-pub fn stream_add<T: Real>(dst: &mut [T], a: &[T], b: &[T]) {
-    let n = dst.len().min(a.len()).min(b.len());
-    let (d, a, b) = (&mut dst[..n], &a[..n], &b[..n]);
-    let mut i = 0;
-    while i + 4 <= n {
-        d[i] = a[i] + b[i];
-        d[i + 1] = a[i + 1] + b[i + 1];
-        d[i + 2] = a[i + 2] + b[i + 2];
-        d[i + 3] = a[i + 3] + b[i + 3];
-        i += 4;
-    }
-    while i < n {
-        d[i] = a[i] + b[i];
-        i += 1;
-    }
-}
-
-/// BabelStream Triad (`dst[i] = b[i] + scalar * c[i]`), unrolled by 4.
-/// Bitwise-exact.
-pub fn stream_triad<T: Real>(dst: &mut [T], b: &[T], c: &[T], scalar: T) {
-    let n = dst.len().min(b.len()).min(c.len());
-    let (d, b, c) = (&mut dst[..n], &b[..n], &c[..n]);
-    let mut i = 0;
-    while i + 4 <= n {
-        d[i] = b[i] + scalar * c[i];
-        d[i + 1] = b[i + 1] + scalar * c[i + 1];
-        d[i + 2] = b[i + 2] + scalar * c[i + 2];
-        d[i + 3] = b[i + 3] + scalar * c[i + 3];
-        i += 4;
-    }
-    while i < n {
-        d[i] = b[i] + scalar * c[i];
-        i += 1;
-    }
-}
-
-/// BabelStream Nstream (`a[i] += b[i] + scalar * c[i]`), unrolled by 4.
-/// Bitwise-exact.
-pub fn stream_nstream<T: Real>(a: &mut [T], b: &[T], c: &[T], scalar: T) {
-    let n = a.len().min(b.len()).min(c.len());
-    let (a, b, c) = (&mut a[..n], &b[..n], &c[..n]);
-    let mut i = 0;
-    while i + 4 <= n {
-        a[i] += b[i] + scalar * c[i];
-        a[i + 1] += b[i + 1] + scalar * c[i + 1];
-        a[i + 2] += b[i + 2] + scalar * c[i + 2];
-        a[i + 3] += b[i + 3] + scalar * c[i + 3];
-        i += 4;
-    }
-    while i < n {
-        a[i] += b[i] + scalar * c[i];
         i += 1;
     }
 }
@@ -665,27 +537,6 @@ pub fn eri_batch_sum(system: &HeliumSystem, quartets: &[(u64, u64)]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
-/// Element-wise `acc[i] += partial[i]`, unrolled by 4. The per-element
-/// association is unchanged — each index accumulates in exactly the order the
-/// scalar loop would — so this is bitwise-identical and safe inside the
-/// golden Fock-matrix partial combine.
-pub fn add_assign_unrolled(acc: &mut [f64], partial: &[f64]) {
-    let n = acc.len().min(partial.len());
-    let (a, p) = (&mut acc[..n], &partial[..n]);
-    let mut i = 0;
-    while i + 4 <= n {
-        a[i] += p[i];
-        a[i + 1] += p[i + 1];
-        a[i + 2] += p[i + 2];
-        a[i + 3] += p[i + 3];
-        i += 4;
-    }
-    while i < n {
-        a[i] += p[i];
-        i += 1;
-    }
-}
-
 /// miniBUDE pose energy with 4 independent `f32` accumulators over the
 /// protein (inner) loop. Same per-pair arithmetic as
 /// [`crate::minibude::pose_energy`], reassociated sum: within the
@@ -732,287 +583,6 @@ pub fn pose_energy_unrolled(deck: &Deck, pose_index: usize) -> f32 {
 }
 
 // ---------------------------------------------------------------------------
-// Stencil (element-wise expression unchanged: bitwise-exact)
-// ---------------------------------------------------------------------------
-
-/// One interior cell of the seven-point Laplacian — the exact expression (and
-/// operation order) of the CPU reference and the device kernels.
-#[inline]
-fn stencil_point<T: Real>(u: &[T], idx: usize, l: usize, c: (T, T, T, T)) -> T {
-    let (cx, cy, cz, cc) = c;
-    u[idx] * cc
-        + (u[idx - l * l] + u[idx + l * l]) * cx
-        + (u[idx - l] + u[idx + l]) * cy
-        + (u[idx - 1] + u[idx + 1]) * cz
-}
-
-/// Applies the seven-point Laplacian to every interior cell, the innermost
-/// (`k`) loop unrolled by 4. Per-element expressions are unchanged, so the
-/// output is bitwise-identical to [`stencil7_apply_scalar`].
-pub fn stencil7_apply<T: Real>(out: &mut [T], u: &[T], l: usize, coeffs: (f64, f64, f64, f64)) {
-    let c = (
-        T::from_f64(coeffs.0),
-        T::from_f64(coeffs.1),
-        T::from_f64(coeffs.2),
-        T::from_f64(coeffs.3),
-    );
-    for i in 1..l - 1 {
-        for j in 1..l - 1 {
-            let row = (i * l + j) * l;
-            let mut k = 1;
-            while k + 4 < l {
-                out[row + k] = stencil_point(u, row + k, l, c);
-                out[row + k + 1] = stencil_point(u, row + k + 1, l, c);
-                out[row + k + 2] = stencil_point(u, row + k + 2, l, c);
-                out[row + k + 3] = stencil_point(u, row + k + 3, l, c);
-                k += 4;
-            }
-            while k < l - 1 {
-                out[row + k] = stencil_point(u, row + k, l, c);
-                k += 1;
-            }
-        }
-    }
-}
-
-/// The scalar deterministic counterpart of [`stencil7_apply`] (the lane the
-/// crossover bench times against).
-pub fn stencil7_apply_scalar<T: Real>(
-    out: &mut [T],
-    u: &[T],
-    l: usize,
-    coeffs: (f64, f64, f64, f64),
-) {
-    let c = (
-        T::from_f64(coeffs.0),
-        T::from_f64(coeffs.1),
-        T::from_f64(coeffs.2),
-        T::from_f64(coeffs.3),
-    );
-    for i in 1..l - 1 {
-        for j in 1..l - 1 {
-            let row = (i * l + j) * l;
-            for k in 1..l - 1 {
-                out[row + k] = stencil_point(u, row + k, l, c);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Jacobi sweep (element-wise expression unchanged: bitwise-exact)
-// ---------------------------------------------------------------------------
-
-/// One interior cell of the six-neighbour Jacobi average — the exact
-/// expression (and operation order) of the CPU reference and the device
-/// kernels: pairwise neighbour sums, then `× 1/6`.
-#[inline]
-fn jacobi_point(u: &[f64], idx: usize, l: usize) -> f64 {
-    (((u[idx - l * l] + u[idx + l * l]) + (u[idx - l] + u[idx + l])) + (u[idx - 1] + u[idx + 1]))
-        * crate::jacobi::SIXTH
-}
-
-/// Applies one Jacobi sweep to every interior cell, the innermost (`k`) loop
-/// unrolled by 4. Per-element expressions are unchanged, so the output is
-/// bitwise-identical to [`jacobi_sweep_scalar`].
-pub fn jacobi_sweep(out: &mut [f64], u: &[f64], l: usize) {
-    for i in 1..l - 1 {
-        for j in 1..l - 1 {
-            let row = (i * l + j) * l;
-            let mut k = 1;
-            while k + 4 < l {
-                out[row + k] = jacobi_point(u, row + k, l);
-                out[row + k + 1] = jacobi_point(u, row + k + 1, l);
-                out[row + k + 2] = jacobi_point(u, row + k + 2, l);
-                out[row + k + 3] = jacobi_point(u, row + k + 3, l);
-                k += 4;
-            }
-            while k < l - 1 {
-                out[row + k] = jacobi_point(u, row + k, l);
-                k += 1;
-            }
-        }
-    }
-}
-
-/// The scalar deterministic counterpart of [`jacobi_sweep`] (the lane the
-/// crossover bench times against).
-pub fn jacobi_sweep_scalar(out: &mut [f64], u: &[f64], l: usize) {
-    for i in 1..l - 1 {
-        for j in 1..l - 1 {
-            let row = (i * l + j) * l;
-            for k in 1..l - 1 {
-                out[row + k] = jacobi_point(u, row + k, l);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Frame-stream EMA fold (element-wise: bitwise-exact)
-// ---------------------------------------------------------------------------
-
-/// Folds one constant-valued frame into an accumulator chunk,
-/// `acc ← acc·beta + alpha·value`, unrolled by 4. Element chains are
-/// independent, so the unroll cannot reassociate anything: the output is
-/// bitwise-identical to the scalar loop.
-pub fn frame_accumulate(acc: &mut [f64], value: f64, alpha: f64, beta: f64) {
-    let n = acc.len();
-    let av = alpha * value;
-    let step = |x: f64| x * beta + av;
-    let mut i = 0;
-    while i + 4 <= n {
-        acc[i] = step(acc[i]);
-        acc[i + 1] = step(acc[i + 1]);
-        acc[i + 2] = step(acc[i + 2]);
-        acc[i + 3] = step(acc[i + 3]);
-        i += 4;
-    }
-    while i < n {
-        acc[i] = step(acc[i]);
-        i += 1;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Unrolled verification scans (max-reductions: bitwise-exact results)
-// ---------------------------------------------------------------------------
-
-/// Maximum relative error of `get(i)` against a constant over `start..end`,
-/// scanned with 4 independent max-accumulators. `max` is order-independent
-/// over a fixed element set, so the result equals the scalar scan exactly.
-pub fn max_rel_err_chunk(
-    get: impl Fn(usize) -> f64,
-    start: usize,
-    end: usize,
-    expected: f64,
-) -> f64 {
-    let scale = expected.abs().max(1.0);
-    let err = |i: usize| (get(i) - expected).abs() / scale;
-    let mut m = [0.0f64; 4];
-    let mut i = start;
-    while i + 4 <= end {
-        m[0] = m[0].max(err(i));
-        m[1] = m[1].max(err(i + 1));
-        m[2] = m[2].max(err(i + 2));
-        m[3] = m[3].max(err(i + 3));
-        i += 4;
-    }
-    while i < end {
-        m[0] = m[0].max(err(i));
-        i += 1;
-    }
-    m[0].max(m[1]).max(m[2]).max(m[3])
-}
-
-/// Unrolled variant of [`crate::common::compare_with_reference`]: 4
-/// independent max-accumulators, tolerance checked in index order. Returns
-/// exactly the same `Ok`/`Err` as the scalar scan (max is order-independent
-/// and the first offending index is still reported first).
-pub fn compare_with_reference_unrolled<T: Real>(
-    actual: &[T],
-    expected: &[f64],
-    tolerance: f64,
-) -> Result<f64, String> {
-    if actual.len() != expected.len() {
-        return Err(format!(
-            "length mismatch: {} vs {}",
-            actual.len(),
-            expected.len()
-        ));
-    }
-    let n = actual.len();
-    let fail = |i: usize, a: f64, e: f64, rel: f64| {
-        format!("element {i} differs: got {a}, expected {e} (relative error {rel:.3e})")
-    };
-    let probe = |i: usize| {
-        let a = actual[i].to_f64();
-        let e = expected[i];
-        let err = (a - e).abs();
-        (a, e, err, err / e.abs().max(1.0))
-    };
-    let mut m = [0.0f64; 4];
-    let mut i = 0;
-    while i + 4 <= n {
-        for (lane, slot) in m.iter_mut().enumerate() {
-            let (a, e, err, rel) = probe(i + lane);
-            if rel > tolerance {
-                return Err(fail(i + lane, a, e, rel));
-            }
-            *slot = slot.max(err);
-        }
-        i += 4;
-    }
-    while i < n {
-        let (a, e, err, rel) = probe(i);
-        if rel > tolerance {
-            return Err(fail(i, a, e, rel));
-        }
-        m[0] = m[0].max(err);
-        i += 1;
-    }
-    Ok(m[0].max(m[1]).max(m[2]).max(m[3]))
-}
-
-/// Unrolled variant of [`crate::common::compare_slices`] (same contract as
-/// [`compare_with_reference_unrolled`]).
-pub fn compare_slices_unrolled(
-    actual: &[f64],
-    expected: &[f64],
-    tolerance: f64,
-) -> Result<f64, String> {
-    compare_with_reference_unrolled(actual, expected, tolerance)
-}
-
-/// Unrolled variant of [`crate::common::compare_slices_f32`]: widens
-/// element-by-element exactly like the scalar scan.
-pub fn compare_slices_f32_unrolled(
-    actual: &[f32],
-    expected: &[f32],
-    tolerance: f32,
-) -> Result<f64, String> {
-    if actual.len() != expected.len() {
-        return Err(format!(
-            "length mismatch: {} vs {}",
-            actual.len(),
-            expected.len()
-        ));
-    }
-    let n = actual.len();
-    let tolerance = f64::from(tolerance);
-    let probe = |i: usize| {
-        let a = f64::from(actual[i]);
-        let e = f64::from(expected[i]);
-        let err = (a - e).abs();
-        (a, e, err, err / e.abs().max(1.0))
-    };
-    let fail = |i: usize, a: f64, e: f64, rel: f64| {
-        format!("element {i} differs: got {a}, expected {e} (relative error {rel:.3e})")
-    };
-    let mut m = [0.0f64; 4];
-    let mut i = 0;
-    while i + 4 <= n {
-        for (lane, slot) in m.iter_mut().enumerate() {
-            let (a, e, err, rel) = probe(i + lane);
-            if rel > tolerance {
-                return Err(fail(i + lane, a, e, rel));
-            }
-            *slot = slot.max(err);
-        }
-        i += 4;
-    }
-    while i < n {
-        let (a, e, err, rel) = probe(i);
-        if rel > tolerance {
-            return Err(fail(i, a, e, rel));
-        }
-        m[0] = m[0].max(err);
-        i += 1;
-    }
-    Ok(m[0].max(m[1]).max(m[2]).max(m[3]))
-}
-
-// ---------------------------------------------------------------------------
 // Lane-kernel registry (the crossover bench and the parity suite)
 // ---------------------------------------------------------------------------
 
@@ -1024,7 +594,7 @@ pub struct LaneKernel {
     /// The size ladder the crossover bench measures (the workload's
     /// `bench_sizes` plus smaller points so the table can place a crossover).
     pub sizes: &'static [u64],
-    /// Documented lane-parity tolerance (relative; `0.0` = bitwise-exact).
+    /// Documented lane-parity tolerance (relative).
     pub tolerance: f64,
     /// Runs one lane at one size, returning a checksum both lanes compute
     /// identically (for the deterministic lane: through the golden
@@ -1034,49 +604,12 @@ pub struct LaneKernel {
 
 /// Every lane kernel, in crossover-table presentation order.
 pub fn lane_kernels() -> &'static [LaneKernel] {
-    const STREAM_SIZES: &[u64] = &[1 << 12, 1 << 16, 1 << 20];
-    const KERNELS: [LaneKernel; 11] = [
-        LaneKernel {
-            name: KERNEL_COPY,
-            sizes: STREAM_SIZES,
-            tolerance: 0.0,
-            run: run_copy,
-        },
-        LaneKernel {
-            name: KERNEL_MUL,
-            sizes: STREAM_SIZES,
-            tolerance: 0.0,
-            run: run_mul,
-        },
-        LaneKernel {
-            name: KERNEL_ADD,
-            sizes: STREAM_SIZES,
-            tolerance: 0.0,
-            run: run_add,
-        },
-        LaneKernel {
-            name: KERNEL_TRIAD,
-            sizes: STREAM_SIZES,
-            tolerance: 0.0,
-            run: run_triad,
-        },
-        LaneKernel {
-            name: KERNEL_NSTREAM,
-            sizes: STREAM_SIZES,
-            tolerance: 0.0,
-            run: run_nstream,
-        },
+    const KERNELS: [LaneKernel; 3] = [
         LaneKernel {
             name: KERNEL_DOT,
-            sizes: STREAM_SIZES,
+            sizes: &[1 << 12, 1 << 16, 1 << 20],
             tolerance: 1e-12,
             run: run_dot,
-        },
-        LaneKernel {
-            name: KERNEL_STENCIL7,
-            sizes: &[32, 64, 96, 128],
-            tolerance: 0.0,
-            run: run_stencil,
         },
         LaneKernel {
             name: KERNEL_MINIBUDE_POSE,
@@ -1090,109 +623,8 @@ pub fn lane_kernels() -> &'static [LaneKernel] {
             tolerance: 1e-12,
             run: run_fock,
         },
-        LaneKernel {
-            name: KERNEL_JACOBI,
-            sizes: &[8, 12, 16],
-            tolerance: 1e-12,
-            run: run_jacobi,
-        },
-        LaneKernel {
-            name: KERNEL_FRAMESTREAM,
-            sizes: &[1 << 12, 1 << 14, 1 << 16],
-            tolerance: 0.0,
-            run: run_framestream,
-        },
     ];
     &KERNELS
-}
-
-/// Pool-backed stream buffers filled with the BabelStream init constants.
-fn stream_buffers(n: usize) -> (PooledVec<f64>, PooledVec<f64>, PooledVec<f64>) {
-    let mut a = PooledVec::with_capacity(n);
-    a.resize(n, INIT_A);
-    let mut b = PooledVec::with_capacity(n);
-    b.resize(n, INIT_B);
-    let mut c = PooledVec::with_capacity(n);
-    c.resize(n, INIT_C);
-    (a, b, c)
-}
-
-/// Lane-independent checksum: a serial left-to-right fold.
-fn checksum(xs: &[f64]) -> f64 {
-    xs.iter().fold(0.0, |acc, &v| acc + v)
-}
-
-fn run_copy(lane: Lane, size: u64) -> f64 {
-    let n = size as usize;
-    let (a, _b, mut c) = stream_buffers(n);
-    match lane {
-        Lane::Deterministic => {
-            for (dst, src) in c.iter_mut().zip(a.iter()) {
-                *dst = *src;
-            }
-        }
-        Lane::Simd => stream_copy(c.as_mut_slice(), &a),
-    }
-    checksum(&c)
-}
-
-fn run_mul(lane: Lane, size: u64) -> f64 {
-    let n = size as usize;
-    let (_a, mut b, c) = stream_buffers(n);
-    let scalar = crate::babelstream::SCALAR;
-    match lane {
-        Lane::Deterministic => {
-            for (dst, src) in b.iter_mut().zip(c.iter()) {
-                *dst = scalar * *src;
-            }
-        }
-        Lane::Simd => stream_mul(b.as_mut_slice(), &c, scalar),
-    }
-    checksum(&b)
-}
-
-fn run_add(lane: Lane, size: u64) -> f64 {
-    let n = size as usize;
-    let (a, b, mut c) = stream_buffers(n);
-    match lane {
-        Lane::Deterministic => {
-            for i in 0..n {
-                c[i] = a[i] + b[i];
-            }
-        }
-        Lane::Simd => stream_add(c.as_mut_slice(), &a, &b),
-    }
-    checksum(&c)
-}
-
-fn run_triad(lane: Lane, size: u64) -> f64 {
-    let n = size as usize;
-    let (mut a, b, c) = stream_buffers(n);
-    let scalar = crate::babelstream::SCALAR;
-    match lane {
-        Lane::Deterministic => {
-            for i in 0..n {
-                a[i] = b[i] + scalar * c[i];
-            }
-        }
-        Lane::Simd => stream_triad(a.as_mut_slice(), &b, &c, scalar),
-    }
-    checksum(&a)
-}
-
-fn run_nstream(lane: Lane, size: u64) -> f64 {
-    let n = size as usize;
-    let (mut a, b, c) = stream_buffers(n);
-    let scalar = crate::babelstream::SCALAR;
-    match lane {
-        Lane::Deterministic => {
-            for i in 0..n {
-                a[i] += b[i] + scalar * c[i];
-            }
-        }
-        Lane::Simd => stream_nstream(a.as_mut_slice(), &b, &c, scalar),
-    }
-    checksum(&a)
 }
 
 /// Pre-filled dot inputs, cached per size: dot never writes its inputs, and
@@ -1221,20 +653,6 @@ fn run_dot(lane: Lane, size: u64) -> f64 {
         // relative to the deterministic tree within the registered 1e-12.
         Lane::Simd => dot(av, bv),
     }
-}
-
-fn run_stencil(lane: Lane, size: u64) -> f64 {
-    let l = size as usize;
-    let config = StencilConfig::validation(l, Precision::Fp64);
-    let u = cache::stencil_grid(&config);
-    let mut out: PooledVec<f64> = PooledVec::with_capacity(l * l * l);
-    out.resize(l * l * l, 0.0);
-    let coeffs = config.coefficients();
-    match lane {
-        Lane::Deterministic => stencil7_apply_scalar(out.as_mut_slice(), &u, l, coeffs),
-        Lane::Simd => stencil7_apply(out.as_mut_slice(), &u, l, coeffs),
-    }
-    checksum(&out)
 }
 
 fn run_pose(lane: Lane, size: u64) -> f64 {
@@ -1274,27 +692,9 @@ fn run_fock(lane: Lane, size: u64) -> f64 {
     }
 }
 
-fn run_jacobi(lane: Lane, size: u64) -> f64 {
-    let config = crate::jacobi::JacobiConfig::validation(size as usize, 400);
-    let solution = crate::jacobi::solve_host(&config, lane);
-    // Checksum couples the control flow (how many sweeps the convergence
-    // norm demanded) with the final residual: a lane divergence that changed
-    // either is caught far outside the 1e-12 tolerance.
-    solution.iters_run as f64 + solution.residuals[solution.iters_run - 1]
-}
-
-fn run_framestream(lane: Lane, size: u64) -> f64 {
-    let n = size as usize;
-    let mut acc: PooledVec<f64> = PooledVec::with_capacity(n);
-    acc.resize(n, crate::framestream::ACC_INIT);
-    crate::framestream::accumulate_frames(acc.as_mut_slice(), 0..32, lane);
-    checksum(&acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{compare_slices, compare_slices_f32, compare_with_reference};
 
     #[test]
     fn lane_and_policy_labels_round_trip() {
@@ -1381,39 +781,41 @@ mod tests {
                 "committed crossover table is missing kernel {}",
                 kernel.name
             );
+            assert!(
+                table
+                    .entries
+                    .iter()
+                    .any(|e| e.kernel == kernel.name && e.fastest == Lane::Simd),
+                "lane kernel {} wins at no measured size: delete its SIMD lane",
+                kernel.name
+            );
+        }
+        for entry in &table.entries {
+            assert!(
+                lane_kernels().iter().any(|k| k.name == entry.kernel),
+                "table entry {}@{} names no lane kernel",
+                entry.kernel,
+                entry.size
+            );
+            if entry.fastest == Lane::Simd {
+                assert!(
+                    entry.speedup >= AUTO_MIN_SPEEDUP,
+                    "{}@{} records simd at {:.4}x, under the {AUTO_MIN_SPEEDUP}x margin",
+                    entry.kernel,
+                    entry.size,
+                    entry.speedup
+                );
+            }
         }
     }
 
     #[test]
     fn stream_kernels_are_bitwise_identical_to_scalar_loops() {
-        let n = 1027; // off the unroll boundary on purpose
-        let (a, b, c) = stream_buffers(n);
-        let mut scalar = vec![0.0f64; n];
-        let mut fast = vec![0.0f64; n];
-        for i in 0..n {
-            scalar[i] = b[i] + crate::babelstream::SCALAR * c[i];
-        }
-        stream_triad(&mut fast, &b, &c, crate::babelstream::SCALAR);
-        assert_eq!(scalar, fast);
-        for i in 0..n {
-            scalar[i] = a[i] + b[i];
-        }
-        stream_add(&mut fast, &a, &b);
-        assert_eq!(scalar, fast);
-        for i in 0..n {
-            scalar[i] = crate::babelstream::SCALAR * c[i];
-        }
-        stream_mul(&mut fast, &c, crate::babelstream::SCALAR);
-        assert_eq!(scalar, fast);
+        // 1027 elements: off the unroll boundary on purpose.
+        let a: Vec<f64> = (0..1027).map(|i| 1.0 / (i as f64 + 1.0)).collect();
+        let mut fast = vec![0.0f64; a.len()];
         stream_copy(&mut fast, &a);
-        assert_eq!(fast, a.as_slice());
-        let mut na = vec![1.0f64; n];
-        let mut nb = vec![1.0f64; n];
-        for i in 0..n {
-            na[i] += b[i] + crate::babelstream::SCALAR * c[i];
-        }
-        stream_nstream(&mut nb, &b, &c, crate::babelstream::SCALAR);
-        assert_eq!(na, nb);
+        assert_eq!(fast, a);
     }
 
     #[test]
@@ -1424,58 +826,6 @@ mod tests {
         let serial: f64 = a.iter().zip(&b).map(|(&x, &y)| x * y).sum();
         let fast = dot(&a, &b);
         assert!((serial - fast).abs() / serial.abs() < 1e-12);
-    }
-
-    #[test]
-    fn add_assign_unrolled_is_bitwise_identical() {
-        let p: Vec<f64> = (0..517).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-        let mut scalar: Vec<f64> = (0..517).map(|i| (i as f64).cos()).collect();
-        let mut fast = scalar.clone();
-        for (a, &v) in scalar.iter_mut().zip(&p) {
-            *a += v;
-        }
-        add_assign_unrolled(&mut fast, &p);
-        assert_eq!(scalar, fast);
-    }
-
-    #[test]
-    fn unrolled_compare_matches_the_scalar_scans_exactly() {
-        let expected: Vec<f64> = (0..333).map(|i| 1.0 + i as f64).collect();
-        let actual: Vec<f64> = expected.iter().map(|&v| v + 1e-12).collect();
-        assert_eq!(
-            compare_slices_unrolled(&actual, &expected, 1e-9),
-            compare_slices(&actual, &expected, 1e-9)
-        );
-        let actual32: Vec<f32> = expected.iter().map(|&v| v as f32).collect();
-        let expected32: Vec<f32> = actual32.clone();
-        assert_eq!(
-            compare_slices_f32_unrolled(&actual32, &expected32, 1e-5),
-            compare_slices_f32(&actual32, &expected32, 1e-5)
-        );
-        // Failure cases report the same first offending element.
-        let mut broken = actual.clone();
-        broken[5] = 1e9;
-        broken[6] = 2e9;
-        assert_eq!(
-            compare_slices_unrolled(&broken, &expected, 1e-9),
-            compare_slices(&broken, &expected, 1e-9)
-        );
-        assert_eq!(
-            compare_with_reference_unrolled(&broken, &expected, 1e-9),
-            compare_with_reference(&broken, &expected, 1e-9)
-        );
-        assert!(compare_slices_unrolled(&actual[..10], &expected, 1e-9).is_err());
-    }
-
-    #[test]
-    fn max_rel_err_chunk_equals_the_scalar_scan() {
-        let values: Vec<f64> = (0..257).map(|i| 2.0 + (i as f64).sin() * 1e-13).collect();
-        let scalar = values
-            .iter()
-            .map(|v| (v - 2.0).abs() / 2.0)
-            .fold(0.0f64, f64::max);
-        let fast = max_rel_err_chunk(|i| values[i], 0, values.len(), 2.0);
-        assert_eq!(scalar.to_bits(), fast.to_bits());
     }
 
     #[test]

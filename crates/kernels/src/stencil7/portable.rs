@@ -11,7 +11,6 @@ use super::cost::stencil_cost;
 use crate::cache;
 use crate::common::{compare_with_reference, Verification, WorkloadRun};
 use crate::real::Real;
-use crate::simd::{self, Lane, LanePolicy};
 use gpu_sim::{istr, istr_fmt, SimError};
 use portable_kernel::prelude::*;
 use vendor_models::{heuristics, KernelClass, Platform};
@@ -44,33 +43,19 @@ fn laplacian_kernel<T: Real>(
     }
 }
 
-/// Runs the portable stencil on `platform` under the process-wide lane
-/// policy, returning the full run record.
+/// Runs the portable stencil on `platform`, returning the full run record.
 pub fn run_portable(platform: &Platform, config: &StencilConfig) -> Result<WorkloadRun, SimError> {
-    run_portable_lane(platform, config, simd::process_policy())
-}
-
-/// Runs the portable stencil under an explicit lane policy. The lane picks
-/// the host verification scan; both scans return bit-identical results
-/// (the per-element comparison is order-independent), so stencil rows are
-/// byte-identical on every lane.
-pub fn run_portable_lane(
-    platform: &Platform,
-    config: &StencilConfig,
-    policy: LanePolicy,
-) -> Result<WorkloadRun, SimError> {
     let cost = stencil_cost(config);
     let class = KernelClass::Stencil7 {
         precision: config.precision,
     };
     let profile = platform.execution_profile(&class);
     let timing = cache::timing_model(platform).estimate(&cost, &profile);
-    let lane = simd::resolve(policy, simd::KERNEL_STENCIL7, config.l as u64);
 
     let verification = if config.should_execute() {
         match config.precision {
-            gpu_spec::Precision::Fp32 => execute::<f32>(platform, config, lane)?,
-            gpu_spec::Precision::Fp64 => execute::<f64>(platform, config, lane)?,
+            gpu_spec::Precision::Fp32 => execute::<f32>(platform, config)?,
+            gpu_spec::Precision::Fp64 => execute::<f64>(platform, config)?,
         }
     } else {
         Verification::Skipped {
@@ -95,7 +80,6 @@ pub fn run_portable_lane(
 fn execute<T: Real + cache::StencilGridCache>(
     platform: &Platform,
     config: &StencilConfig,
-    lane: Lane,
 ) -> Result<Verification, SimError> {
     let l = config.l;
     let layout = Layout::row_major_3d(l, l, l);
@@ -127,11 +111,7 @@ fn execute<T: Real + cache::StencilGridCache>(
     let expected = cache::stencil_reference(config);
     let mut actual: PooledVec<T> = PooledVec::new();
     f_tensor.to_host_into(&mut actual);
-    let compared = match lane {
-        Lane::Deterministic => compare_with_reference(&actual, &expected, T::tolerance()),
-        Lane::Simd => simd::compare_with_reference_unrolled(&actual, &expected, T::tolerance()),
-    };
-    match compared {
+    match compare_with_reference(&actual, &expected, T::tolerance()) {
         Ok(max_abs_error) => Ok(Verification::Passed { max_abs_error }),
         Err(msg) => Err(SimError::InvalidParameter(format!(
             "stencil verification failed: {msg}"

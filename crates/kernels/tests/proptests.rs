@@ -8,7 +8,6 @@ use science_kernels::hartree_fock::{pair_count, pair_decode, pair_encode, surviv
 use science_kernels::jacobi::{solve_host, JacobiConfig};
 use science_kernels::minibude::{Atom, Deck, ForceFieldParam, MiniBudeConfig};
 use science_kernels::stencil7::{reference_laplacian, StencilConfig};
-use science_kernels::Lane;
 
 /// Brute-force counterpart of the two-pointer screening count.
 fn brute_force_survivors(schwarz: &[f64], tol: f64) -> u64 {
@@ -84,39 +83,32 @@ proptest! {
     }
 
     /// The Jacobi residual is monotonically non-increasing for arbitrary grid
-    /// sides, iteration caps and lanes: the iteration matrix of the
+    /// sides and iteration caps: the iteration matrix of the
     /// constant-diagonal Laplacian is symmetric, so the iterate-difference
-    /// norm contracts every sweep. Both lanes run on the shim's worker pool,
+    /// norm contracts every sweep. The solve runs on the shim's worker pool,
     /// whose fixed-chunk reductions are bitwise-stable at any thread count.
     fn jacobi_residual_is_monotone_non_increasing(
         l in 4usize..13,
         iters in 1usize..50,
-        simd_lane in 0u8..2,
     ) {
-        let lane = if simd_lane == 1 { Lane::Simd } else { Lane::Deterministic };
-        let solution = solve_host(&JacobiConfig::validation(l, iters), lane);
+        let solution = solve_host(&JacobiConfig::validation(l, iters));
         prop_assert_eq!(solution.iters_run, solution.residuals.len());
         for pair in solution.residuals.as_slice().windows(2) {
-            prop_assert!(
-                pair[1] <= pair[0],
-                "residual rose on lane {}: {} -> {}", lane, pair[0], pair[1]
-            );
+            prop_assert!(pair[1] <= pair[0], "residual rose: {} -> {}", pair[0], pair[1]);
         }
     }
 
     /// Frame-stream accumulation is bitwise-identical between one big batch
-    /// and any partition of the frame range into sub-batches, on either lane:
-    /// the per-element EMA chain is strictly sequential in the frame index,
-    /// so batch boundaries cannot reassociate anything.
+    /// and any partition of the frame range into sub-batches: the
+    /// per-element EMA chain is strictly sequential in the frame index, so
+    /// batch boundaries cannot reassociate anything.
     fn framestream_accumulation_is_partition_invariant(
         n in 1usize..3000,
         frames in 1usize..48,
         cuts in proptest::collection::vec(0.0f64..1.0, 0..6),
-        simd_lane in 0u8..2,
     ) {
-        let lane = if simd_lane == 1 { Lane::Simd } else { Lane::Deterministic };
         let mut whole = vec![ACC_INIT; n];
-        accumulate_frames(&mut whole, 0..frames, lane);
+        accumulate_frames(&mut whole, 0..frames);
 
         let mut bounds: Vec<usize> = cuts.iter().map(|c| (c * frames as f64) as usize).collect();
         bounds.push(0);
@@ -124,7 +116,7 @@ proptest! {
         bounds.sort_unstable();
         let mut split = vec![ACC_INIT; n];
         for pair in bounds.windows(2) {
-            accumulate_frames(&mut split, pair[0]..pair[1], lane);
+            accumulate_frames(&mut split, pair[0]..pair[1]);
         }
         prop_assert_eq!(&whole, &split);
     }

@@ -441,15 +441,6 @@ impl Default for DispatchPolicy {
 }
 
 impl DispatchPolicy {
-    /// A single attempt per shard, no timeout, no speculation — the policy
-    /// [`crate::shard::run_workers`] keeps for backward compatibility.
-    pub fn no_retry() -> DispatchPolicy {
-        DispatchPolicy {
-            max_attempts: 1,
-            ..DispatchPolicy::default()
-        }
-    }
-
     /// The effective attempt budget (`max_attempts` with 0 meaning 1).
     pub fn attempt_budget(&self) -> u32 {
         self.max_attempts.max(1)
@@ -1271,7 +1262,6 @@ mod tests {
         assert_eq!(policy.attempt_budget(), 1);
         policy.max_attempts = 4;
         assert_eq!(policy.attempt_budget(), 4);
-        assert_eq!(DispatchPolicy::no_retry().attempt_budget(), 1);
     }
 
     #[test]

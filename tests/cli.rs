@@ -378,22 +378,27 @@ fn bench_diff_tolerates_a_missing_group() {
 fn sampled_hartree_fock_runs_beyond_the_full_validation_limit() {
     let out = scratch("hf-sampled");
     let output = mojo_hpc(&[
-        "run",
-        "hartree-fock",
-        "--atoms",
+        "sweep",
+        "hartree-fock-sampled",
+        "--sizes",
         "128",
-        "--sample",
-        "128",
-        "--shards",
-        "4",
+        "samples=128",
+        "shards=4",
+        "--format",
+        "json",
         "--out",
         out.to_str().unwrap(),
     ]);
     assert_eq!(output.status.code(), Some(0), "stderr: {}", stderr(&output));
     let text = stdout(&output);
-    assert!(text.contains("natoms = 128"));
-    assert!(text.contains("survivors: exact"));
-    assert!(out.join("hartree_fock_sampled_128_shards.csv").exists());
+    assert!(
+        text.contains("atoms=128,ngauss=0,samples=128,shards=4"),
+        "{text}"
+    );
+    assert!(text.contains("\"passed("), "{text}");
+    // The retired `run hartree-fock` form is a usage error.
+    let retired = mojo_hpc(&["run", "hartree-fock", "--atoms", "8"]);
+    assert_eq!(retired.status.code(), Some(2), "{}", stderr(&retired));
     std::fs::remove_dir_all(&out).ok();
 }
 
