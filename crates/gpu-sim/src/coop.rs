@@ -109,6 +109,11 @@ impl CoopLaunch {
     }
 
     /// Runs one block to completion using caller-provided scratch buffers.
+    ///
+    /// Every phase visits the block's live threads in linear order (x
+    /// fastest), walking `(x, y, z)` with nested loops and a running linear
+    /// index instead of re-deriving the coordinates with div/mod per thread.
+    #[inline]
     fn run_block<K: CoopKernel>(
         kernel: &K,
         block_idx: Dim3,
@@ -118,29 +123,33 @@ impl CoopLaunch {
         states: &mut [K::ThreadState],
         done: &mut [bool],
     ) {
-        let threads_per_block = states.len();
-        let mut remaining = threads_per_block;
+        let mut ctx = ThreadCtx {
+            thread_idx: Dim3::new(0, 0, 0),
+            block_idx,
+            block_dim: block,
+            grid_dim: grid,
+        };
+        let mut remaining = states.len();
         let mut phase = 0usize;
         while remaining > 0 {
             assert!(
                 phase < MAX_PHASES,
                 "cooperative kernel did not converge within {MAX_PHASES} phases"
             );
-            for thread_linear in 0..threads_per_block {
-                if done[thread_linear] {
-                    continue;
-                }
-                let (tx, ty, tz) = block.delinearize(thread_linear as u64);
-                let ctx = ThreadCtx {
-                    thread_idx: Dim3::new(tx, ty, tz),
-                    block_idx,
-                    block_dim: block,
-                    grid_dim: grid,
-                };
-                let outcome = kernel.phase(phase, ctx, &mut states[thread_linear], shared);
-                if outcome == PhaseOutcome::Done {
-                    done[thread_linear] = true;
-                    remaining -= 1;
+            let mut thread_linear = 0usize;
+            for tz in 0..block.z {
+                for ty in 0..block.y {
+                    for tx in 0..block.x {
+                        if !done[thread_linear] {
+                            ctx.thread_idx = Dim3::new(tx, ty, tz);
+                            let state = &mut states[thread_linear];
+                            if kernel.phase(phase, ctx, state, shared) == PhaseOutcome::Done {
+                                done[thread_linear] = true;
+                                remaining -= 1;
+                            }
+                        }
+                        thread_linear += 1;
+                    }
                 }
             }
             phase += 1;
@@ -276,6 +285,61 @@ mod tests {
             } else {
                 PhaseOutcome::Continue
             }
+        }
+    }
+
+    /// Records every `(phase, thread_idx)` call of each block, so a test can
+    /// pin the engine's visiting order.
+    struct OrderKernel {
+        calls: std::sync::Mutex<Vec<Vec<(usize, Dim3)>>>,
+        phases: usize,
+    }
+
+    impl CoopKernel for OrderKernel {
+        type Shared = u8;
+        type ThreadState = ();
+
+        fn shared_len(&self, _block_dim: Dim3) -> usize {
+            0
+        }
+
+        fn phase(&self, phase: usize, ctx: ThreadCtx, _: &mut (), _: &mut [u8]) -> PhaseOutcome {
+            let block = ctx.block_idx.x as usize;
+            self.calls.lock().unwrap()[block].push((phase, ctx.thread_idx));
+            // Odd threads (by linear index) finish one phase early.
+            let linear =
+                ctx.block_dim
+                    .linearize(ctx.thread_idx.x, ctx.thread_idx.y, ctx.thread_idx.z);
+            if phase + 1 + (linear % 2) as usize >= self.phases {
+                PhaseOutcome::Done
+            } else {
+                PhaseOutcome::Continue
+            }
+        }
+    }
+
+    #[test]
+    fn each_phase_visits_live_threads_in_linear_x_fastest_order() {
+        let block = Dim3::new(4, 2, 2);
+        let cfg = LaunchConfig::new(3u32, block);
+        let kernel = OrderKernel {
+            calls: std::sync::Mutex::new(vec![Vec::new(); 3]),
+            phases: 3,
+        };
+        CoopLaunch::run(&cfg, &kernel);
+        let mut expected = Vec::new();
+        for phase in 0..3 {
+            for linear in 0..block.total() {
+                // Odd threads are done after phase 1.
+                if phase == 2 && linear % 2 == 1 {
+                    continue;
+                }
+                let (x, y, z) = block.delinearize(linear);
+                expected.push((phase, Dim3::new(x, y, z)));
+            }
+        }
+        for calls in kernel.calls.into_inner().unwrap() {
+            assert_eq!(calls, expected);
         }
     }
 

@@ -17,9 +17,10 @@
 
 use crate::atomics;
 use crate::error::{SimError, SimResult};
-use crate::pool::{self, PooledVec};
+use crate::pool;
 use gpu_spec::{GpuSpec, Precision};
 use parking_lot::Mutex;
+use std::mem::MaybeUninit;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -122,12 +123,47 @@ impl Device {
         self.inner.spec.memory_bytes - self.allocated_bytes()
     }
 
-    /// Allocates an uninitialised (zero-filled) buffer of `len` elements,
-    /// mirroring `ctx.enqueue_create_buffer[dtype](len)`.
+    /// Allocates a zero-filled buffer of `len` elements, mirroring
+    /// `ctx.enqueue_create_buffer[dtype](len)`.
     ///
     /// Backing storage comes from the size-classed pool: a warm repeat of the
     /// same allocation shape reuses a shelved block instead of allocating.
     pub fn alloc<T: DeviceScalar>(&self, len: usize) -> SimResult<DeviceBuffer<T>> {
+        self.alloc_filled(len, T::default())
+    }
+
+    /// Allocates a buffer of `len` elements that all hold `value`, mirroring
+    /// `ctx.enqueue_create_buffer[dtype](len).enqueue_fill(value)`. The
+    /// storage is written once, with `value`, not zeroed first.
+    pub fn alloc_filled<T: DeviceScalar>(
+        &self,
+        len: usize,
+        value: T,
+    ) -> SimResult<DeviceBuffer<T>> {
+        let buf = self.alloc_uninit::<T>(len)?;
+        // SAFETY: the storage holds `len` (uninitialised) elements, viewed as
+        // `MaybeUninit`; the handle has not escaped, so nothing else can
+        // touch them while the view lives.
+        let storage = unsafe {
+            std::slice::from_raw_parts_mut(buf.storage().ptr.cast::<MaybeUninit<T>>(), len)
+        };
+        storage.fill(MaybeUninit::new(value));
+        Ok(buf)
+    }
+
+    /// Allocates a buffer and copies `data` into it (host-to-device
+    /// transfer): one copy, with no zero-fill first.
+    pub fn alloc_from_host<T: DeviceScalar>(&self, data: &[T]) -> SimResult<DeviceBuffer<T>> {
+        let buf = self.alloc_uninit::<T>(data.len())?;
+        // SAFETY: the storage holds `data.len()` elements and a freshly
+        // checked-out block cannot overlap the caller's slice.
+        unsafe { std::ptr::copy_nonoverlapping(data.as_ptr(), buf.storage().ptr, data.len()) };
+        Ok(buf)
+    }
+
+    /// Allocates a buffer whose elements the caller must initialise before
+    /// the handle escapes.
+    fn alloc_uninit<T: DeviceScalar>(&self, len: usize) -> SimResult<DeviceBuffer<T>> {
         let bytes = (len * T::SIZE_BYTES) as u64;
         {
             let mut usage = self.inner.usage.lock();
@@ -141,17 +177,14 @@ impl Device {
             usage.allocated += bytes;
             usage.high_water = usage.high_water.max(usage.allocated);
         }
+        // The block holds at least `len * SIZE_BYTES` bytes and BLOCK_ALIGN
+        // covers every DeviceScalar alignment.
         let block = (len > 0).then(|| pool::checkout(len * T::SIZE_BYTES));
         let ptr = block
             .as_ref()
             .map_or(NonNull::<T>::dangling().as_ptr(), |b| {
                 b.as_ptr().cast::<T>()
             });
-        for i in 0..len {
-            // SAFETY: the block holds at least `len * SIZE_BYTES` bytes and
-            // BLOCK_ALIGN covers every DeviceScalar alignment.
-            unsafe { std::ptr::write(ptr.add(i), T::default()) };
-        }
         // The refcounted header lives in a pooled block of its own (an
         // `Arc::new` here would put one global allocation on every buffer of
         // every launch, which is exactly what the steady-state contract
@@ -180,13 +213,6 @@ impl Device {
                 inner: NonNull::new_unchecked(inner),
             })
         }
-    }
-
-    /// Allocates a buffer and copies `data` into it (host-to-device transfer).
-    pub fn alloc_from_host<T: DeviceScalar>(&self, data: &[T]) -> SimResult<DeviceBuffer<T>> {
-        let buf = self.alloc::<T>(data.len())?;
-        buf.copy_from_host(data)?;
-        Ok(buf)
     }
 }
 
@@ -331,7 +357,7 @@ impl<T: DeviceScalar> DeviceBuffer<T> {
     /// # Panics
     /// Panics if `i` is out of bounds (device-side bounds are always checked
     /// by the simulator; hardware would silently corrupt memory instead).
-    #[inline]
+    #[inline(always)]
     pub fn read(&self, i: usize) -> T {
         assert!(
             i < self.len(),
@@ -349,7 +375,7 @@ impl<T: DeviceScalar> DeviceBuffer<T> {
     ///
     /// # Panics
     /// Panics if `i` is out of bounds.
-    #[inline]
+    #[inline(always)]
     pub fn write(&self, i: usize, value: T) {
         assert!(
             i < self.len(),
@@ -362,11 +388,41 @@ impl<T: DeviceScalar> DeviceBuffer<T> {
         unsafe { std::ptr::write(self.storage().ptr.add(i), value) }
     }
 
+    /// A read-only view of the whole buffer, for host code that inspects
+    /// device memory in place (verification) instead of copying it out.
+    ///
+    /// Same contract as [`read`](Self::read): nothing may write the buffer
+    /// while the view lives. Launches are synchronous, so a view taken after
+    /// a launch returns sees its final results; do not write through another
+    /// handle (or launch over the buffer) until the view is dropped.
+    #[inline]
+    pub fn as_slice(&self) -> &[T] {
+        let storage = self.storage();
+        // SAFETY: `ptr` addresses `len` initialised elements (dangling and
+        // well-aligned when `len == 0`); writers are excluded by the
+        // documented contract above.
+        unsafe { std::slice::from_raw_parts(storage.ptr, storage.len) }
+    }
+
+    /// A mutable view of the whole buffer, for host-side bulk staging.
+    ///
+    /// # Safety
+    /// No other view, accessor call or launch may touch the buffer (through
+    /// any handle) while the returned slice lives.
+    #[inline]
+    #[allow(clippy::mut_from_ref)]
+    pub unsafe fn as_mut_slice(&self) -> &mut [T] {
+        let storage = self.storage();
+        // SAFETY: as for `as_slice`; exclusivity is the caller's obligation.
+        unsafe { std::slice::from_raw_parts_mut(storage.ptr, storage.len) }
+    }
+
     /// Fills the whole buffer with `value`.
     pub fn fill(&self, value: T) {
-        for i in 0..self.len() {
-            self.write(i, value);
-        }
+        // SAFETY: the view lives only for this call, and under the contract
+        // of `write` nothing else accesses the buffer meanwhile (launches are
+        // synchronous; host code holds no view across a write).
+        unsafe { self.as_mut_slice() }.fill(value);
     }
 
     /// Copies host data into the buffer (host-to-device transfer).
@@ -377,26 +433,14 @@ impl<T: DeviceScalar> DeviceBuffer<T> {
                 actual: data.len(),
             });
         }
-        for (i, v) in data.iter().enumerate() {
-            self.write(i, *v);
-        }
+        // SAFETY: as for `fill`.
+        unsafe { self.as_mut_slice() }.copy_from_slice(data);
         Ok(())
     }
 
     /// Copies the buffer back to the host (device-to-host transfer).
     pub fn copy_to_host(&self) -> Vec<T> {
-        (0..self.len()).map(|i| self.read(i)).collect()
-    }
-
-    /// Copies the buffer back to the host into a reusable pooled vector —
-    /// the steady-state variant of [`copy_to_host`](Self::copy_to_host):
-    /// a warm `out` of the right capacity makes the transfer allocation-free.
-    pub fn copy_to_host_into(&self, out: &mut PooledVec<T>) {
-        out.clear();
-        out.reserve(self.len());
-        for i in 0..self.len() {
-            out.push(self.read(i));
-        }
+        self.as_slice().to_vec()
     }
 
     /// Start of the backing storage, for pointer-identity reuse tests.
@@ -522,16 +566,32 @@ mod tests {
     }
 
     #[test]
-    fn copy_to_host_into_reuses_the_output_buffer() {
+    fn as_slice_views_device_memory_in_place() {
         let dev = device();
         let buf = dev.alloc_from_host(&[1.0f64, 2.0, 3.0]).unwrap();
-        let mut out = crate::pool::PooledVec::new();
-        buf.copy_to_host_into(&mut out);
-        assert_eq!(out.as_slice(), &[1.0, 2.0, 3.0]);
-        let cap = out.capacity();
-        buf.copy_to_host_into(&mut out);
-        assert_eq!(out.capacity(), cap);
-        assert_eq!(out.as_slice(), &[1.0, 2.0, 3.0]);
+        buf.write(1, 5.0);
+        assert_eq!(buf.as_slice(), &[1.0, 5.0, 3.0]);
+        assert_eq!(buf.as_slice().as_ptr(), buf.storage_ptr());
+        let clone = buf.clone();
+        clone.fill(0.5);
+        assert_eq!(buf.as_slice(), &[0.5; 3]);
+        assert!(dev.alloc::<u32>(0).unwrap().as_slice().is_empty());
+    }
+
+    #[test]
+    fn alloc_filled_writes_every_element_of_a_recycled_block() {
+        let dev = device();
+        let dirty = dev.alloc_from_host(&[7u64; 300]).unwrap();
+        drop(dirty);
+        let buf = dev.alloc_filled(300, 9u64).unwrap();
+        assert!(buf.as_slice().iter().all(|&v| v == 9));
+        drop(buf);
+        assert!(dev
+            .alloc::<u64>(300)
+            .unwrap()
+            .as_slice()
+            .iter()
+            .all(|&v| v == 0));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use super::config::{BabelStreamConfig, INIT_A, INIT_B, INIT_C, SCALAR};
 use super::cost::stream_cost;
 use super::reference::expected_values;
 use crate::cache;
-use crate::common::{Verification, WorkloadRun};
+use crate::common::{verify_constant, Verification, WorkloadRun};
 use crate::real::Real;
 use crate::simd::{self, Lane, LanePolicy};
 use gpu_sim::{istr, Dim3, SimError};
@@ -98,6 +98,7 @@ impl<T: Real> CoopKernel for DotKernel<T> {
         block_dim.total() as usize
     }
 
+    #[inline(always)]
     fn phase(
         &self,
         phase: usize,
@@ -144,18 +145,20 @@ fn execute<T: Real>(
     let n = config.n;
     let ctx = DeviceContext::from_device(cache::device(platform));
     let layout = Layout::row_major_1d(n);
-    let a = LayoutTensor::new(ctx.enqueue_create_buffer::<T>(n)?, layout)?;
-    let b = LayoutTensor::new(ctx.enqueue_create_buffer::<T>(n)?, layout)?;
-    let c = LayoutTensor::new(ctx.enqueue_create_buffer::<T>(n)?, layout)?;
-    a.fill(T::from_f64(INIT_A));
-    b.fill(T::from_f64(INIT_B));
-    c.fill(T::from_f64(INIT_C));
+    let filled = |value: f64| -> Result<LayoutTensor<T>, SimError> {
+        let buffer = ctx.enqueue_create_buffer_filled(n, T::from_f64(value))?;
+        LayoutTensor::new(buffer, layout)
+    };
+    let (a, b, c) = (filled(INIT_A)?, filled(INIT_B)?, filled(INIT_C)?);
     let scalar = T::from_f64(SCALAR);
 
     let launch = heuristics::stream_launch(n as u64);
     let expected = expected_values(op, config);
+    let tolerance = T::tolerance();
 
-    let observed: f64 = match op {
+    // Every output array keeps its pre-fill until the kernel overwrites it,
+    // so the in-place check below catches any element a kernel skipped.
+    let observed = match op {
         StreamOp::Copy => {
             let (ak, ck) = (a.clone(), c.clone());
             ctx.enqueue_function(launch, move |t| {
@@ -164,7 +167,7 @@ fn execute<T: Real>(
                     ck.set(i, ak.get(i));
                 }
             })?;
-            verify_constant(&c, expected, n)?
+            verify_constant(c.as_slice(), expected, tolerance)
         }
         StreamOp::Mul => {
             let (bk, ck) = (b.clone(), c.clone());
@@ -174,7 +177,7 @@ fn execute<T: Real>(
                     bk.set(i, scalar * ck.get(i));
                 }
             })?;
-            verify_constant(&b, expected, n)?
+            verify_constant(b.as_slice(), expected, tolerance)
         }
         StreamOp::Add => {
             let (ak, bk, ck) = (a.clone(), b.clone(), c.clone());
@@ -184,7 +187,7 @@ fn execute<T: Real>(
                     ck.set(i, ak.get(i) + bk.get(i));
                 }
             })?;
-            verify_constant(&c, expected, n)?
+            verify_constant(c.as_slice(), expected, tolerance)
         }
         StreamOp::Triad => {
             let (ak, bk, ck) = (a.clone(), b.clone(), c.clone());
@@ -194,7 +197,7 @@ fn execute<T: Real>(
                     ak.set(i, bk.get(i) + scalar * ck.get(i));
                 }
             })?;
-            verify_constant(&a, expected, n)?
+            verify_constant(a.as_slice(), expected, tolerance)
         }
         StreamOp::Dot => {
             let dot_launch = heuristics::dot_launch(platform.backend, &platform.spec, n as u64);
@@ -210,53 +213,32 @@ fn execute<T: Real>(
                 n,
             };
             ctx.enqueue_cooperative(dot_launch, &kernel)?;
-            // Host-side reduction of the per-block partials, reading straight
-            // from the device buffer. Both lanes are bitwise-stable across
+            // Host-side reduction of the per-block partials, reading the
+            // device buffer in place. Both lanes are bitwise-stable across
             // thread counts; the SIMD lane folds each chunk with four
             // independent accumulators (a fixed reassociation within the
             // documented 1e-12 relative bound) before the same pairwise tree.
-            let partials = &sums;
+            let partials = sums.as_slice().par_iter().map(|p| p.to_f64());
             let total: f64 = match lane {
-                Lane::Deterministic => (0..num_blocks)
-                    .into_par_iter()
-                    .map(|i| partials.get(i).to_f64())
-                    .sum(),
-                Lane::Simd => (0..num_blocks)
-                    .into_par_iter()
-                    .map(|i| partials.get(i).to_f64())
-                    .sum_unrolled(),
+                Lane::Deterministic => partials.sum(),
+                Lane::Simd => partials.sum_unrolled(),
             };
-            (total - expected).abs() / expected.abs().max(1.0)
+            let rel = (total - expected).abs() / expected.abs().max(1.0);
+            if rel <= tolerance {
+                Ok(rel)
+            } else {
+                Err(format!("relative error {rel:.3e}"))
+            }
         }
     };
 
     ctx.synchronize();
-    if observed <= T::tolerance() {
-        Ok(Verification::Passed {
-            max_abs_error: observed,
-        })
-    } else {
-        Err(SimError::InvalidParameter(format!(
-            "BabelStream {op} verification failed: relative error {observed:.3e}"
-        )))
+    match observed {
+        Ok(max_abs_error) => Ok(Verification::Passed { max_abs_error }),
+        Err(msg) => Err(SimError::InvalidParameter(format!(
+            "BabelStream {op} verification failed: {msg}"
+        ))),
     }
-}
-
-/// Checks that every element of `tensor` equals `expected`; returns the
-/// maximum relative error. The scan runs on the pool.
-fn verify_constant<T: Real>(
-    tensor: &LayoutTensor<T>,
-    expected: f64,
-    n: usize,
-) -> Result<f64, SimError> {
-    let max_rel = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            let v = tensor.get(i).to_f64();
-            (v - expected).abs() / expected.abs().max(1.0)
-        })
-        .reduce(|| 0.0f64, f64::max);
-    Ok(max_rel)
 }
 
 #[cfg(test)]
@@ -283,6 +265,70 @@ mod tests {
             Verification::Passed { max_abs_error } => assert!(max_abs_error < 1e-10),
             other => panic!("expected pass, got {other:?}"),
         }
+    }
+
+    /// Runs the Dot kernel over non-uniform data and returns its per-block
+    /// partials and the host sum, as `execute` computes them.
+    fn dot_partials_and_sum(platform: &Platform, n: usize) -> (Vec<f64>, f64) {
+        let ctx = DeviceContext::from_device(cache::device(platform));
+        let layout = Layout::row_major_1d(n);
+        let host: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();
+        let a = LayoutTensor::new(ctx.enqueue_create_buffer_from(&host).unwrap(), layout).unwrap();
+        let launch = heuristics::dot_launch(platform.backend, &platform.spec, n as u64);
+        let blocks = launch.num_blocks() as usize;
+        let sums = ctx.enqueue_create_buffer::<f64>(blocks).unwrap();
+        let kernel = DotKernel {
+            a: a.clone(),
+            b: a,
+            sums: LayoutTensor::new(sums.clone(), Layout::row_major_1d(blocks)).unwrap(),
+            n,
+        };
+        ctx.enqueue_cooperative(launch, &kernel).unwrap();
+        let total = sums.as_slice().par_iter().map(|&p| p).sum();
+        (sums.as_slice().to_vec(), total)
+    }
+
+    #[test]
+    fn dot_partials_and_sum_are_bitwise_equal_on_one_thread_and_the_wide_pool() {
+        for platform in [Platform::portable_h100(), Platform::portable_mi300a()] {
+            let n = 300_001;
+            let wide = dot_partials_and_sum(&platform, n);
+            let serial = rayon::ThreadPoolBuilder::new()
+                .num_threads(1)
+                .build()
+                .unwrap()
+                .install(|| dot_partials_and_sum(&platform, n));
+            let bits = |(partials, total): &(Vec<f64>, f64)| {
+                let mut bits: Vec<u64> = partials.iter().map(|p| p.to_bits()).collect();
+                bits.push(total.to_bits());
+                bits
+            };
+            assert_eq!(bits(&wide), bits(&serial));
+        }
+    }
+
+    #[test]
+    fn a_mul_that_skips_an_element_fails_on_its_init_b_sentinel() {
+        // Mul writes b = SCALAR * c = 0: an element left at its INIT_B
+        // pre-fill is the only trace of a skipped thread.
+        let config = BabelStreamConfig::validation(1 << 12, Precision::Fp64);
+        let n = config.n;
+        let ctx = DeviceContext::from_device(cache::device(&Platform::portable_h100()));
+        let layout = Layout::row_major_1d(n);
+        let b = LayoutTensor::new(ctx.enqueue_create_buffer_filled(n, INIT_B).unwrap(), layout);
+        let c = LayoutTensor::new(ctx.enqueue_create_buffer_filled(n, INIT_C).unwrap(), layout);
+        let (b, c) = (b.unwrap(), c.unwrap());
+        let (bk, ck) = (b.clone(), c.clone());
+        ctx.enqueue_function(heuristics::stream_launch(n as u64), move |t| {
+            let i = t.global_x() as usize;
+            if i < n && i != 1234 {
+                bk.set(i, SCALAR * ck.get(i));
+            }
+        })
+        .unwrap();
+        let expected = expected_values(StreamOp::Mul, &config);
+        let msg = verify_constant(b.as_slice(), expected, f64::tolerance()).unwrap_err();
+        assert!(msg.starts_with("element 1234 differs: got 0.2"), "{msg}");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use super::config::{BabelStreamConfig, INIT_A, INIT_B, INIT_C, SCALAR};
 use super::cost::stream_cost;
 use super::reference::expected_values;
 use crate::cache;
-use crate::common::{Verification, WorkloadRun};
+use crate::common::{verify_constant, Verification, WorkloadRun};
 use crate::real::Real;
 use gpu_sim::memory::DeviceBuffer;
 use gpu_sim::{istr, launch_flat, CoopKernel, CoopLaunch, Dim3, PhaseOutcome, SimError, ThreadCtx};
@@ -69,6 +69,7 @@ impl<T: Real> CoopKernel for VendorDotKernel<T> {
         block_dim.total() as usize
     }
 
+    #[inline(always)]
     fn phase(
         &self,
         phase: usize,
@@ -111,19 +112,18 @@ fn execute<T: Real>(
 ) -> Result<Verification, SimError> {
     let n = config.n;
     let device = cache::device(platform);
-    let a = device.alloc::<T>(n)?;
-    let b = device.alloc::<T>(n)?;
-    let c = device.alloc::<T>(n)?;
-    a.fill(T::from_f64(INIT_A));
-    b.fill(T::from_f64(INIT_B));
-    c.fill(T::from_f64(INIT_C));
+    let a = device.alloc_filled(n, T::from_f64(INIT_A))?;
+    let b = device.alloc_filled(n, T::from_f64(INIT_B))?;
+    let c = device.alloc_filled(n, T::from_f64(INIT_C))?;
     let scalar = T::from_f64(SCALAR);
 
     let launch = heuristics::stream_launch(n as u64);
     launch.validate(&platform.spec)?;
     let expected = expected_values(op, config);
+    let tolerance = T::tolerance();
 
-    let max_rel: f64 = match op {
+    // Output pre-fills are sentinels: a skipped element keeps its INIT value.
+    let observed = match op {
         StreamOp::Copy => {
             let (ak, ck) = (a.clone(), c.clone());
             launch_flat(&launch, move |t| {
@@ -132,7 +132,7 @@ fn execute<T: Real>(
                     ck.write(i, ak.read(i));
                 }
             });
-            relative_error(&c, expected)
+            verify_constant(c.as_slice(), expected, tolerance)
         }
         StreamOp::Mul => {
             let (bk, ck) = (b.clone(), c.clone());
@@ -142,7 +142,7 @@ fn execute<T: Real>(
                     bk.write(i, scalar * ck.read(i));
                 }
             });
-            relative_error(&b, expected)
+            verify_constant(b.as_slice(), expected, tolerance)
         }
         StreamOp::Add => {
             let (ak, bk, ck) = (a.clone(), b.clone(), c.clone());
@@ -152,7 +152,7 @@ fn execute<T: Real>(
                     ck.write(i, ak.read(i) + bk.read(i));
                 }
             });
-            relative_error(&c, expected)
+            verify_constant(c.as_slice(), expected, tolerance)
         }
         StreamOp::Triad => {
             let (ak, bk, ck) = (a.clone(), b.clone(), c.clone());
@@ -162,7 +162,7 @@ fn execute<T: Real>(
                     ak.write(i, bk.read(i) + scalar * ck.read(i));
                 }
             });
-            relative_error(&a, expected)
+            verify_constant(a.as_slice(), expected, tolerance)
         }
         StreamOp::Dot => {
             let dot_launch = heuristics::dot_launch(platform.backend, &platform.spec, n as u64);
@@ -176,37 +176,23 @@ fn execute<T: Real>(
             };
             CoopLaunch::run(&dot_launch, &kernel);
             // Deterministic host-side reduction of the per-block partials,
-            // reading straight from the device buffer.
-            let partials = &sums;
-            let total: f64 = (0..partials.len())
-                .into_par_iter()
-                .map(|i| partials.read(i).to_f64())
-                .sum();
-            (total - expected).abs() / expected.abs().max(1.0)
+            // reading the device buffer in place.
+            let total: f64 = sums.as_slice().par_iter().map(|p| p.to_f64()).sum();
+            let rel = (total - expected).abs() / expected.abs().max(1.0);
+            if rel <= tolerance {
+                Ok(rel)
+            } else {
+                Err(format!("relative error {rel:.3e}"))
+            }
         }
     };
 
-    if max_rel <= T::tolerance() {
-        Ok(Verification::Passed {
-            max_abs_error: max_rel,
-        })
-    } else {
-        Err(SimError::InvalidParameter(format!(
-            "vendor BabelStream {op} verification failed: relative error {max_rel:.3e}"
-        )))
+    match observed {
+        Ok(max_abs_error) => Ok(Verification::Passed { max_abs_error }),
+        Err(msg) => Err(SimError::InvalidParameter(format!(
+            "vendor BabelStream {op} verification failed: {msg}"
+        ))),
     }
-}
-
-fn relative_error<T: Real>(buffer: &DeviceBuffer<T>, expected: f64) -> f64 {
-    // Pool-parallel max scan over the output array (order-independent, and
-    // the lane's fixed chunking keeps it deterministic regardless).
-    (0..buffer.len())
-        .into_par_iter()
-        .map(|i| {
-            let v = buffer.read(i).to_f64();
-            (v - expected).abs() / expected.abs().max(1.0)
-        })
-        .reduce(|| 0.0f64, f64::max)
 }
 
 #[cfg(test)]
@@ -232,6 +218,26 @@ mod tests {
         // The vendor heuristic sizes the grid from the CU count.
         let cus = gpu_spec::presets::mi300a().topology.num_compute_units;
         assert_eq!(run.cost.launch.num_blocks(), u64::from(cus * 4));
+    }
+
+    #[test]
+    fn a_triad_that_skips_an_element_fails_naming_it() {
+        let n = 1 << 12;
+        let device = cache::device(&Platform::cuda_h100(false));
+        let a = device.alloc_filled(n, INIT_A as f32).unwrap();
+        let b = device.alloc_filled(n, INIT_B as f32).unwrap();
+        let c = device.alloc_filled(n, INIT_C as f32).unwrap();
+        let (ak, bk, ck) = (a.clone(), b.clone(), c.clone());
+        launch_flat(&heuristics::stream_launch(n as u64), move |t| {
+            let i = t.global_x() as usize;
+            if i < n && i != 4000 {
+                ak.write(i, bk.read(i) + SCALAR as f32 * ck.read(i));
+            }
+        });
+        let config = BabelStreamConfig::validation(n, Precision::Fp32);
+        let expected = expected_values(StreamOp::Triad, &config);
+        let msg = verify_constant(a.as_slice(), expected, f32::tolerance()).unwrap_err();
+        assert!(msg.starts_with("element 4000 differs"), "{msg}");
     }
 
     #[test]

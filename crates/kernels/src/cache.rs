@@ -263,7 +263,7 @@ impl<K: Eq + Hash + Send, V: Footprint + Send + Sync> InputMemo for Memo<K, V> {
 
 /// Every memo of generated workload inputs. `DEVICE` and `TIMING` are not
 /// among them: two tiny entries each, on the allocation-free launch path.
-fn input_memos() -> [&'static dyn InputMemo; 10] {
+fn input_memos() -> [&'static dyn InputMemo; 11] {
     [
         &HELIUM,
         &FOCK_REF,
@@ -274,6 +274,7 @@ fn input_memos() -> [&'static dyn InputMemo; 10] {
         &GRID,
         &GRID_F32,
         &STENCIL_REF,
+        &STENCIL_REF_F32,
         &JACOBI_REF,
     ]
 }
@@ -519,22 +520,36 @@ pub fn stencil_grid_f32(config: &StencilConfig) -> Arc<Vec<f32>> {
     })
 }
 
-/// Per-precision access to the cached stencil grid, so the generic driver
-/// body can fetch its working-precision input without converting per run.
+/// Per-precision access to the cached stencil grid and reference, so the
+/// generic driver body can fetch its working-precision input and check its
+/// output without converting per run.
 pub trait StencilGridCache: Sized {
     /// The cached input grid at this precision.
     fn cached_stencil_grid(config: &StencilConfig) -> Arc<Vec<Self>>;
+    /// The cached reference Laplacian evaluated at this precision from this
+    /// precision's grid, in the kernels' operation order.
+    fn cached_stencil_reference(config: &StencilConfig) -> Arc<Vec<Self>>;
 }
 
 impl StencilGridCache for f64 {
     fn cached_stencil_grid(config: &StencilConfig) -> Arc<Vec<f64>> {
         stencil_grid(config)
     }
+
+    fn cached_stencil_reference(config: &StencilConfig) -> Arc<Vec<f64>> {
+        stencil_reference(config)
+    }
 }
 
 impl StencilGridCache for f32 {
     fn cached_stencil_grid(config: &StencilConfig) -> Arc<Vec<f32>> {
         stencil_grid_f32(config)
+    }
+
+    fn cached_stencil_reference(config: &StencilConfig) -> Arc<Vec<f32>> {
+        STENCIL_REF_F32.get_or_generate(StencilRefKey::of(config), || {
+            reference_laplacian(config, &stencil_grid_f32(config))
+        })
     }
 }
 
@@ -546,18 +561,24 @@ struct StencilRefKey {
     spacing_bits: u64,
 }
 
+impl StencilRefKey {
+    fn of(config: &StencilConfig) -> Self {
+        StencilRefKey {
+            l: config.l,
+            spacing_bits: config.spacing.to_bits(),
+        }
+    }
+}
+
 static STENCIL_REF: Memo<StencilRefKey, Vec<f64>> = Memo::new();
+static STENCIL_REF_F32: Memo<StencilRefKey, Vec<f32>> = Memo::new();
 
 /// The shared CPU-reference Laplacian for a configuration. The reference is
 /// always evaluated in f64 from the f64 grid, whatever the working precision.
 pub fn stencil_reference(config: &StencilConfig) -> Arc<Vec<f64>> {
-    STENCIL_REF.get_or_generate(
-        StencilRefKey {
-            l: config.l,
-            spacing_bits: config.spacing.to_bits(),
-        },
-        || reference_laplacian(config, &stencil_grid(config)),
-    )
+    STENCIL_REF.get_or_generate(StencilRefKey::of(config), || {
+        reference_laplacian(config, &stencil_grid(config))
+    })
 }
 
 /// A Jacobi reference solve depends on the grid side and the iteration cap

@@ -1,6 +1,7 @@
 //! Shared host-driver machinery: run records, verification, and repeated-run
 //! sampling.
 
+use crate::real::Real;
 use gpu_sim::timing::JitterModel;
 use gpu_sim::{ExecutionProfile, IStr, KernelCost, LaunchTiming};
 use hpc_metrics::RunStats;
@@ -98,37 +99,18 @@ fn fxhash(a: &str, b: &str) -> u64 {
     h
 }
 
-/// Compares two slices and returns the maximum absolute error, or an error
-/// message naming the first element that exceeds `tolerance`.
-pub fn compare_slices(actual: &[f64], expected: &[f64], tolerance: f64) -> Result<f64, String> {
-    if actual.len() != expected.len() {
-        return Err(format!(
-            "length mismatch: {} vs {}",
-            actual.len(),
-            expected.len()
-        ));
-    }
-    let mut max_err = 0.0f64;
-    for (i, (a, e)) in actual.iter().zip(expected.iter()).enumerate() {
-        let err = (a - e).abs();
-        let scale = e.abs().max(1.0);
-        if err / scale > tolerance {
-            return Err(format!(
-                "element {i} differs: got {a}, expected {e} (relative error {:.3e})",
-                err / scale
-            ));
-        }
-        max_err = max_err.max(err);
-    }
-    Ok(max_err)
-}
-
-/// Generic variant of [`compare_slices`]: compares a typed kernel output
-/// against an `f64` reference, widening element-by-element instead of staging
-/// a converted copy — the verification loop never touches the allocator.
-pub fn compare_with_reference<T: crate::real::Real>(
+/// Compares a kernel output against a reference, element by element, and
+/// returns the maximum absolute error, or an error message naming the first
+/// element whose relative error (scaled by `max(|expected|, 1)`) exceeds
+/// `tolerance` or is NaN.
+///
+/// Both sides are widened to `f64` per element, so `actual` can be a device
+/// view ([`gpu_sim::DeviceBuffer::as_slice`]) checked in place, with no
+/// staged copy of either side. Only a failing output pays a second pass, to
+/// find the element to name.
+pub fn compare_with_reference<T: Real, E: Real>(
     actual: &[T],
-    expected: &[f64],
+    expected: &[E],
     tolerance: f64,
 ) -> Result<f64, String> {
     if actual.len() != expected.len() {
@@ -138,48 +120,92 @@ pub fn compare_with_reference<T: crate::real::Real>(
             expected.len()
         ));
     }
-    let mut max_err = 0.0f64;
-    for (i, (&a, &e)) in actual.iter().zip(expected.iter()).enumerate() {
-        let a = a.to_f64();
+    let check = |i: usize| {
+        let (a, e) = (actual[i].to_f64(), expected[i].to_f64());
         let err = (a - e).abs();
-        let scale = e.abs().max(1.0);
-        if err / scale > tolerance {
-            return Err(format!(
-                "element {i} differs: got {a}, expected {e} (relative error {:.3e})",
-                err / scale
-            ));
-        }
-        max_err = max_err.max(err);
+        let rel = err / e.abs().max(1.0);
+        (err, rel, rel > tolerance || rel.is_nan())
+    };
+    let (max_err, failed) = max_and_any(actual.len(), |i| {
+        let (err, _, fails) = check(i);
+        (err, fails)
+    });
+    if !failed {
+        return Ok(max_err);
     }
-    Ok(max_err)
+    let i = (0..actual.len())
+        .find(|&i| check(i).2)
+        .expect("a failed scan has a failing element");
+    let (a, e, rel) = (actual[i].to_f64(), expected[i].to_f64(), check(i).1);
+    Err(format!(
+        "element {i} differs: got {a}, expected {e} (relative error {rel:.3e})"
+    ))
 }
 
-/// Single-precision variant of [`compare_slices`]. Compares element-wise
-/// without staging widened copies, so the steady-state hot path stays off the
-/// allocator.
-pub fn compare_slices_f32(actual: &[f32], expected: &[f32], tolerance: f32) -> Result<f64, String> {
-    if actual.len() != expected.len() {
-        return Err(format!(
-            "length mismatch: {} vs {}",
-            actual.len(),
-            expected.len()
-        ));
+/// Checks that every element of `actual` equals the constant `expected`
+/// within the relative `tolerance` (scaled by `max(|expected|, 1)`), and
+/// returns the maximum relative error, or an error message naming the first
+/// element that exceeds `tolerance` or is NaN.
+///
+/// Scans a slice (typically a device view checked in place). Dividing by the
+/// fixed scale is monotone, so the largest deviation divided once equals the
+/// largest per-element relative error bit for bit.
+pub fn verify_constant<T: Real>(
+    actual: &[T],
+    expected: f64,
+    tolerance: f64,
+) -> Result<f64, String> {
+    let scale = expected.abs().max(1.0);
+    let deviation = |i: usize| (actual[i].to_f64() - expected).abs();
+    let (max_dev, nan) = max_and_any(actual.len(), |i| {
+        let dev = deviation(i);
+        (dev, dev.is_nan())
+    });
+    let rel = max_dev / scale;
+    if rel <= tolerance && !nan {
+        return Ok(rel);
     }
-    let tolerance = f64::from(tolerance);
-    let mut max_err = 0.0f64;
-    for (i, (&a, &e)) in actual.iter().zip(expected.iter()).enumerate() {
-        let (a, e) = (f64::from(a), f64::from(e));
-        let err = (a - e).abs();
-        let scale = e.abs().max(1.0);
-        if err / scale > tolerance {
-            return Err(format!(
-                "element {i} differs: got {a}, expected {e} (relative error {:.3e})",
-                err / scale
-            ));
+    let fails = |i: usize| {
+        let rel = deviation(i) / scale;
+        rel > tolerance || rel.is_nan()
+    };
+    let i = (0..actual.len())
+        .find(|&i| fails(i))
+        .expect("a failed scan has a failing element");
+    Err(format!(
+        "element {i} differs: got {}, expected {expected} (relative error {:.3e})",
+        actual[i].to_f64(),
+        deviation(i) / scale
+    ))
+}
+
+/// Folds `item(i)` for `i in 0..len` into the maximum of its first half
+/// (NaN ignored, as [`f64::max`] ignores it; `0.0` when empty) and whether
+/// any second half was `true`.
+///
+/// Eight independent accumulators break the dependency chain of a serial
+/// max, which otherwise bounds a verification scan at one element per
+/// `max` latency. Max is exact and order-independent, so the result equals
+/// the serial fold bit for bit.
+#[inline]
+fn max_and_any(len: usize, item: impl Fn(usize) -> (f64, bool)) -> (f64, bool) {
+    const LANES: usize = 8;
+    let mut max = [0.0f64; LANES];
+    let mut any = [false; LANES];
+    let body = len - len % LANES;
+    for base in (0..body).step_by(LANES) {
+        for lane in 0..LANES {
+            let (value, flag) = item(base + lane);
+            max[lane] = max[lane].max(value);
+            any[lane] |= flag;
         }
-        max_err = max_err.max(err);
     }
-    Ok(max_err)
+    for i in body..len {
+        let (value, flag) = item(i);
+        max[0] = max[0].max(value);
+        any[0] |= flag;
+    }
+    (max.into_iter().fold(0.0, f64::max), any.contains(&true))
 }
 
 #[cfg(test)]
@@ -238,15 +264,48 @@ mod tests {
 
     #[test]
     fn compare_slices_accepts_within_tolerance() {
-        let max = compare_slices(&[1.0, 2.0, 3.0], &[1.0, 2.0 + 1e-12, 3.0], 1e-9).unwrap();
+        let max = compare_with_reference(&[1.0, 2.0, 3.0], &[1.0, 2.0 + 1e-12, 3.0], 1e-9).unwrap();
         assert!(max <= 1e-11);
+        let max = compare_with_reference(&[1.0f32, 2.5], &[1.0f32, 2.5], 1e-6).unwrap();
+        assert_eq!(max, 0.0);
     }
 
     #[test]
     fn compare_slices_rejects_large_errors_and_length_mismatch() {
-        assert!(compare_slices(&[1.0], &[2.0], 1e-6).is_err());
-        assert!(compare_slices(&[1.0, 2.0], &[1.0], 1e-6).is_err());
-        assert!(compare_slices_f32(&[1.0f32], &[1.5f32], 1e-3).is_err());
+        assert!(compare_with_reference(&[1.0], &[2.0], 1e-6).is_err());
+        assert!(compare_with_reference(&[1.0, 2.0], &[1.0], 1e-6).is_err());
+        assert!(compare_with_reference(&[1.0f32], &[1.5f32], 1e-3).is_err());
+        assert!(compare_with_reference(&[f64::NAN], &[1.0], 1e-3).is_err());
+    }
+
+    fn device() -> gpu_sim::Device {
+        gpu_sim::Device::new(presets::test_device())
+    }
+
+    #[test]
+    fn in_place_comparison_names_the_one_corrupted_element() {
+        let expected: Vec<f64> = (0..1000).map(|i| f64::from(i) * 0.25).collect();
+        let buf = device().alloc_from_host(&expected).unwrap();
+        assert_eq!(
+            compare_with_reference(buf.as_slice(), &expected, 1e-12),
+            Ok(0.0)
+        );
+        buf.write(613, expected[613] + 1.0);
+        let msg = compare_with_reference(buf.as_slice(), &expected, 1e-12).unwrap_err();
+        assert!(msg.starts_with("element 613 differs"), "{msg}");
+    }
+
+    #[test]
+    fn constant_check_names_the_one_corrupted_element() {
+        let buf = device().alloc::<f32>(4096).unwrap();
+        buf.fill(0.3);
+        assert!(verify_constant(buf.as_slice(), 0.3f32.to_f64(), 0.0).is_ok());
+        buf.write(2049, 0.31);
+        let msg = verify_constant(buf.as_slice(), 0.3f32.to_f64(), 5e-4).unwrap_err();
+        assert!(msg.starts_with("element 2049 differs"), "{msg}");
+        buf.write(7, f32::NAN);
+        let msg = verify_constant(buf.as_slice(), 0.3f32.to_f64(), 5e-4).unwrap_err();
+        assert!(msg.starts_with("element 7 differs"), "{msg}");
     }
 
     #[test]

@@ -10,10 +10,9 @@ use super::config::{frame_value, FrameStreamConfig, ACC_INIT, ALPHA, BETA};
 use super::cost::framestream_cost;
 use super::reference::expected_final;
 use crate::cache;
-use crate::common::{Verification, WorkloadRun};
+use crate::common::{verify_constant, Verification, WorkloadRun};
 use gpu_sim::{istr, istr_fmt, SimError};
 use portable_kernel::prelude::*;
-use rayon::prelude::*;
 use vendor_models::{heuristics, KernelClass, Platform};
 
 /// Runs the portable frame stream on `platform`.
@@ -55,9 +54,8 @@ fn execute(platform: &Platform, config: &FrameStreamConfig) -> Result<Verificati
     let n = config.n;
     let ctx = DeviceContext::from_device(cache::device(platform));
     let layout = Layout::row_major_1d(n);
-    let acc = LayoutTensor::new(ctx.enqueue_create_buffer::<f64>(n)?, layout)?;
+    let acc = LayoutTensor::new(ctx.enqueue_create_buffer_filled(n, ACC_INIT)?, layout)?;
     let frame = LayoutTensor::new(ctx.enqueue_create_buffer::<f64>(n)?, layout)?;
-    acc.fill(ACC_INIT);
 
     let launch = heuristics::stream_launch(n as u64);
     for f in 0..config.frames {
@@ -79,21 +77,11 @@ fn execute(platform: &Platform, config: &FrameStreamConfig) -> Result<Verificati
     // Every element saw the identical frame sequence, so the whole
     // accumulator must equal the closed-form serial fold exactly.
     let expected = expected_final(config.frames);
-    let max_rel = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            let v = acc.get(i);
-            (v - expected).abs() / expected.abs().max(1.0)
-        })
-        .reduce(|| 0.0f64, f64::max);
-
-    if max_rel == 0.0 {
-        Ok(Verification::Passed { max_abs_error: 0.0 })
-    } else {
-        Err(SimError::InvalidParameter(format!(
-            "framestream verification failed: accumulator diverged from the closed form by \
-             relative {max_rel:.3e}"
-        )))
+    match verify_constant(acc.as_slice(), expected, 0.0) {
+        Ok(_) => Ok(Verification::Passed { max_abs_error: 0.0 }),
+        Err(msg) => Err(SimError::InvalidParameter(format!(
+            "framestream verification failed: accumulator diverged from the closed form: {msg}"
+        ))),
     }
 }
 

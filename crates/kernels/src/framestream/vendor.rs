@@ -84,8 +84,7 @@ fn execute(platform: &Platform, config: &FrameStreamConfig) -> Result<Verificati
     }
 
     let expected = expected_final(config.frames);
-    for i in 0..n {
-        let v = d_acc.read(i);
+    for (i, &v) in d_acc.as_slice().iter().enumerate() {
         if v.to_bits() != expected.to_bits() {
             return Err(SimError::InvalidParameter(format!(
                 "vendor framestream verification failed at element {i}: {v:.17e} vs \

@@ -26,7 +26,7 @@ use super::geometry::HeliumSystem;
 use super::reference::{quartet_eri, scatter_fock};
 use super::triangular::pair_decode;
 use crate::cache;
-use crate::common::compare_slices;
+use crate::common::compare_with_reference;
 use gpu_sim::{PooledVec, SimError};
 use portable_kernel::prelude::*;
 use rayon::prelude::*;
@@ -412,8 +412,7 @@ pub fn run_sampled_weighted(
 
     // Compare: per-sample ERIs (exact arithmetic path) and the aggregated
     // Fock contributions (the atomic-scatter path, tolerance for reassociation).
-    let mut device_eris: PooledVec<f64> = PooledVec::new();
-    eris.to_host_into(&mut device_eris);
+    let device_eris = eris.as_slice();
     let mut eri_max_abs_error = 0.0f64;
     for (sample, &(shard, _)) in plan.survivors.iter().enumerate() {
         let err = (device_eris[sample] - plan.host_eris[sample]).abs();
@@ -421,10 +420,8 @@ pub fn run_sampled_weighted(
         let stat = &mut stats[shard as usize];
         stat.max_abs_error = stat.max_abs_error.max(err);
     }
-    let mut device_fock: PooledVec<f64> = PooledVec::new();
-    fock.to_host_into(&mut device_fock);
-    let fock_max_abs_error =
-        compare_slices(&device_fock, &plan.expected_fock, 1e-9).map_err(|msg| {
+    let fock_max_abs_error = compare_with_reference(fock.as_slice(), &plan.expected_fock, 1e-9)
+        .map_err(|msg| {
             SimError::InvalidParameter(format!("sampled Hartree-Fock validation failed: {msg}"))
         })?;
 

@@ -10,8 +10,8 @@ use super::geometry::HeliumSystem;
 use super::reference::quartet_eri;
 use super::triangular::pair_decode;
 use crate::cache;
-use crate::common::{compare_slices, Verification, WorkloadRun};
-use gpu_sim::{istr, istr_fmt, launch_flat, PooledVec, SimError};
+use crate::common::{compare_with_reference, Verification, WorkloadRun};
+use gpu_sim::{istr, istr_fmt, launch_flat, SimError};
 use vendor_models::{heuristics, KernelClass, Platform};
 
 /// Runs the vendor-baseline Hartree–Fock kernel on `platform`.
@@ -90,9 +90,7 @@ fn execute(
     });
 
     let expected = cache::hartree_fock_reference(config);
-    let mut actual: PooledVec<f64> = PooledVec::new();
-    fock.copy_to_host_into(&mut actual);
-    match compare_slices(&actual, &expected, 1e-9) {
+    match compare_with_reference(fock.as_slice(), &expected, 1e-9) {
         Ok(max_abs_error) => Ok(Verification::Passed { max_abs_error }),
         Err(msg) => Err(SimError::InvalidParameter(format!(
             "vendor Hartree-Fock verification failed: {msg}"

@@ -11,7 +11,7 @@ use super::cost::jacobi_cost;
 use super::reference::residual_rms;
 use crate::cache;
 use crate::common::{compare_with_reference, Verification, WorkloadRun};
-use gpu_sim::{istr, istr_fmt, launch_flat, PooledVec, SimError};
+use gpu_sim::{istr, istr_fmt, launch_flat, SimError};
 use vendor_models::{heuristics, KernelClass, Platform};
 
 /// Runs the vendor-baseline Jacobi solve on `platform` (CUDA on NVIDIA, HIP
@@ -78,18 +78,15 @@ fn execute(platform: &Platform, config: &JacobiConfig) -> Result<Verification, S
         std::mem::swap(&mut d_u, &mut d_f);
     }
 
-    let mut actual: PooledVec<f64> = PooledVec::new();
-    d_u.copy_to_host_into(&mut actual);
-    let mut previous: PooledVec<f64> = PooledVec::new();
-    d_f.copy_to_host_into(&mut previous);
+    let (actual, previous) = (d_u.as_slice(), d_f.as_slice());
 
     let tolerance = <f64 as crate::real::Real>::tolerance();
     let max_abs_error =
-        compare_with_reference(&actual, &reference.grid, tolerance).map_err(|msg| {
+        compare_with_reference(actual, &reference.grid, tolerance).map_err(|msg| {
             SimError::InvalidParameter(format!("vendor jacobi verification failed: {msg}"))
         })?;
 
-    let residual = residual_rms(&actual, &previous, config.interior_cells() as f64);
+    let residual = residual_rms(actual, previous, config.interior_cells() as f64);
     let golden = reference.residuals[reference.iters_run - 1];
     let rel = (residual - golden).abs() / golden.abs().max(1e-300);
     if rel > 1e-12 {

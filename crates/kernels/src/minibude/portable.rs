@@ -12,10 +12,16 @@ use super::config::MiniBudeConfig;
 use super::cost::fasten_cost;
 use super::reference::{pair_energy, transform_point, HALF};
 use crate::cache;
-use crate::common::{compare_slices_f32, Verification, WorkloadRun};
+use crate::common::{compare_with_reference, Verification, WorkloadRun};
 use gpu_sim::{istr, SimError};
 use portable_kernel::prelude::*;
 use vendor_models::{heuristics, KernelClass, Platform};
+
+/// Relative tolerance of the energy check, shared with the vendor driver.
+/// The kernel computes the same f32 expression sequence as the reference,
+/// but the summation order over ligand atoms can differ in optimised builds.
+/// (The single-precision literal, widened, as the gate has always read it.)
+pub(super) const TOLERANCE: f64 = 2e-3_f32 as f64;
 
 /// Runs the portable fasten kernel on `platform`.
 pub fn run_portable(platform: &Platform, config: &MiniBudeConfig) -> Result<WorkloadRun, SimError> {
@@ -162,12 +168,7 @@ fn execute(platform: &Platform, config: &MiniBudeConfig) -> Result<Verification,
     ctx.synchronize();
 
     let expected = cache::minibude_reference(config);
-    let mut actual: PooledVec<f32> = PooledVec::new();
-    args.etotals.to_host_into(&mut actual);
-    // The kernel computes the same f32 expression sequence as the reference,
-    // but the summation order over ligand atoms can differ in optimised
-    // builds, so allow a small relative tolerance.
-    match compare_slices_f32(&actual, &expected, 2e-3) {
+    match compare_with_reference(args.etotals.as_slice(), &expected, TOLERANCE) {
         Ok(max_abs_error) => Ok(Verification::Passed { max_abs_error }),
         Err(msg) => Err(SimError::InvalidParameter(format!(
             "fasten verification failed: {msg}"

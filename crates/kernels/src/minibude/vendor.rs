@@ -9,9 +9,9 @@ use super::config::MiniBudeConfig;
 use super::cost::fasten_cost;
 use super::reference::{pair_energy, transform_point, HALF};
 use crate::cache;
-use crate::common::{compare_slices_f32, Verification, WorkloadRun};
+use crate::common::{compare_with_reference, Verification, WorkloadRun};
 use gpu_sim::memory::DeviceBuffer;
-use gpu_sim::{istr, launch_flat, PooledVec, SimError};
+use gpu_sim::{istr, launch_flat, SimError};
 use vendor_models::{heuristics, KernelClass, Platform};
 
 /// Upper bound on PPWI supported by the baseline's register array.
@@ -154,9 +154,7 @@ fn execute(platform: &Platform, config: &MiniBudeConfig) -> Result<Verification,
     });
 
     let expected = cache::minibude_reference(config);
-    let mut actual: PooledVec<f32> = PooledVec::new();
-    etotals.copy_to_host_into(&mut actual);
-    match compare_slices_f32(&actual, &expected, 2e-3) {
+    match compare_with_reference(etotals.as_slice(), &expected, super::portable::TOLERANCE) {
         Ok(max_abs_error) => Ok(Verification::Passed { max_abs_error }),
         Err(msg) => Err(SimError::InvalidParameter(format!(
             "vendor fasten verification failed: {msg}"

@@ -18,6 +18,9 @@ pub trait Real:
 {
     /// The precision descriptor for this type.
     const PRECISION: Precision;
+    /// Unit roundoff `u` of this type (half the machine epsilon): the
+    /// largest relative error of one correctly rounded operation.
+    const UNIT_ROUNDOFF: f64;
     /// Converts from `f64` (used for initialisation data and coefficients).
     fn from_f64(x: f64) -> Self;
     /// Converts to `f64` (used for validation against references).
@@ -28,9 +31,12 @@ pub trait Real:
 
 impl Real for f32 {
     const PRECISION: Precision = Precision::Fp32;
+    const UNIT_ROUNDOFF: f64 = f32::EPSILON as f64 / 2.0;
+    #[inline]
     fn from_f64(x: f64) -> Self {
         x as f32
     }
+    #[inline]
     fn to_f64(self) -> f64 {
         f64::from(self)
     }
@@ -41,9 +47,12 @@ impl Real for f32 {
 
 impl Real for f64 {
     const PRECISION: Precision = Precision::Fp64;
+    const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
+    #[inline]
     fn from_f64(x: f64) -> Self {
         x
     }
+    #[inline]
     fn to_f64(self) -> f64 {
         self
     }

@@ -16,11 +16,16 @@ pub mod workload;
 pub use config::{functional_limit, StencilConfig, MAX_FUNCTIONAL_L, MAX_FUNCTIONAL_L_FP32};
 pub use cost::stencil_cost;
 pub use portable::run_portable;
-pub use reference::{initialize_grid, reference_laplacian};
+pub use reference::{
+    check_forward_error, initialize_grid, reference_laplacian, FORWARD_ERROR_ROUNDINGS,
+};
 pub use vendor::run_vendor;
 
+use crate::cache::{self, StencilGridCache};
 use crate::common::WorkloadRun;
+use crate::real::Real;
 use gpu_sim::SimError;
+use gpu_spec::Precision;
 use vendor_models::Platform;
 
 /// Runs the stencil workload on a platform, dispatching to the portable or
@@ -30,6 +35,46 @@ pub fn run(platform: &Platform, config: &StencilConfig) -> Result<WorkloadRun, S
         run_portable(platform, config)
     } else {
         run_vendor(platform, config)
+    }
+}
+
+/// Verifies a stencil output (a device view, checked in place) and returns
+/// the largest absolute error against the f64 reference.
+///
+/// Two gates. First, bitwise equality with the reference evaluated in the
+/// working precision in the kernels' operation order: the device computes
+/// the same rounded operations, so any difference is a kernel bug. Second,
+/// for FP32, the per-cell forward-error bound of [`check_forward_error`]
+/// against the f64 reference, which bounds what the working precision
+/// itself may cost. In FP64 the same-precision reference *is* the f64
+/// reference, so the first gate leaves no error to bound.
+fn verify<T: Real + StencilGridCache>(config: &StencilConfig, actual: &[T]) -> Result<f64, String> {
+    let same_precision = T::cached_stencil_reference(config);
+    if actual.len() != same_precision.len() {
+        return Err(format!(
+            "length mismatch: {} vs {}",
+            actual.len(),
+            same_precision.len()
+        ));
+    }
+    let bits = |v: T| v.to_f64().to_bits();
+    if let Some(i) = (0..actual.len()).find(|&i| bits(actual[i]) != bits(same_precision[i])) {
+        return Err(format!(
+            "element {i} differs from the {} reference in the kernel's operation order: \
+             got {}, expected {}",
+            T::PRECISION,
+            actual[i].to_f64(),
+            same_precision[i].to_f64()
+        ));
+    }
+    match T::PRECISION {
+        Precision::Fp64 => Ok(0.0),
+        Precision::Fp32 => check_forward_error(
+            config,
+            actual,
+            &cache::stencil_reference(config),
+            &cache::stencil_grid(config),
+        ),
     }
 }
 
@@ -56,6 +101,62 @@ mod tests {
             );
             assert!(run.seconds() > 0.0);
         }
+    }
+
+    #[test]
+    fn fp32_verifies_at_l39_and_l40_on_every_platform() {
+        // L = 39 used to fail a result-relative 5e-4 bound on three cells
+        // whose correctly rounded FP32 values sit 6.8e-3 from the f64 ones.
+        for l in [39, 40] {
+            let config = StencilConfig::paper(l, Precision::Fp32);
+            assert!(config.should_execute());
+            for platform in [
+                Platform::portable_h100(),
+                Platform::cuda_h100(false),
+                Platform::portable_mi300a(),
+                Platform::hip_mi300a(false),
+            ] {
+                let run = run(&platform, &config).unwrap();
+                assert!(
+                    run.verification.is_verified(),
+                    "L = {l} {}",
+                    platform.label()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn verify_rejects_a_one_ulp_fp32_change_naming_the_cell() {
+        let config = StencilConfig::paper(39, Precision::Fp32);
+        let mut output = f32::cached_stencil_reference(&config).to_vec();
+        assert!(verify(&config, &output).is_ok());
+        let cell = (17 * 39 + 32) * 39 + 34;
+        output[cell] = f32::from_bits(output[cell].to_bits() + 1);
+        let msg = verify(&config, &output).unwrap_err();
+        assert!(
+            msg.starts_with("element 27139 differs from the FP32 reference"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn forward_error_gate_rejects_errors_beyond_the_bound() {
+        let config = StencilConfig::paper(12, Precision::Fp32);
+        let expected = cache::stencil_reference(&config);
+        let grid = cache::stencil_grid(&config);
+        let mut output: Vec<f32> = expected.iter().map(|&v| v as f32).collect();
+        assert!(check_forward_error(&config, &output, &expected, &grid).is_ok());
+        // An interior cell 1 % off is far outside 8u·Σ|terms|.
+        let cell = (5 * 12 + 6) * 12 + 7;
+        output[cell] *= 1.01;
+        let msg = check_forward_error(&config, &output, &expected, &grid).unwrap_err();
+        assert!(msg.starts_with(&format!("element {cell} differs")), "{msg}");
+        // A boundary cell carries no terms: any change there fails.
+        output[cell] = expected[cell] as f32;
+        output[0] = 1e-30;
+        let msg = check_forward_error(&config, &output, &expected, &grid).unwrap_err();
+        assert!(msg.starts_with("element 0 differs"), "{msg}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use super::config::StencilConfig;
 use super::cost::stencil_cost;
 use crate::cache;
-use crate::common::{compare_with_reference, Verification, WorkloadRun};
+use crate::common::{Verification, WorkloadRun};
 use crate::real::Real;
 use gpu_sim::{istr, istr_fmt, SimError};
 use portable_kernel::prelude::*;
@@ -106,12 +106,7 @@ fn execute<T: Real + cache::StencilGridCache>(
     })?;
     ctx.synchronize();
 
-    // The reference is computed from the full-precision grid in f64
-    // arithmetic; the tolerance accounts for the difference.
-    let expected = cache::stencil_reference(config);
-    let mut actual: PooledVec<T> = PooledVec::new();
-    f_tensor.to_host_into(&mut actual);
-    match compare_with_reference(&actual, &expected, T::tolerance()) {
+    match super::verify(config, f_tensor.as_slice()) {
         Ok(max_abs_error) => Ok(Verification::Passed { max_abs_error }),
         Err(msg) => Err(SimError::InvalidParameter(format!(
             "stencil verification failed: {msg}"

@@ -11,9 +11,9 @@
 use super::config::StencilConfig;
 use super::cost::stencil_cost;
 use crate::cache;
-use crate::common::{compare_with_reference, Verification, WorkloadRun};
+use crate::common::{Verification, WorkloadRun};
 use crate::real::Real;
-use gpu_sim::{istr, istr_fmt, launch_flat, PooledVec, SimError};
+use gpu_sim::{istr, istr_fmt, launch_flat, SimError};
 use vendor_models::{heuristics, KernelClass, Platform};
 
 /// Runs the vendor-baseline stencil on `platform` (CUDA on NVIDIA, HIP on AMD).
@@ -87,10 +87,7 @@ fn execute<T: Real + cache::StencilGridCache>(
         }
     });
 
-    let expected = cache::stencil_reference(config);
-    let mut actual: PooledVec<T> = PooledVec::new();
-    d_f.copy_to_host_into(&mut actual);
-    match compare_with_reference(&actual, &expected, T::tolerance()) {
+    match super::verify(config, d_f.as_slice()) {
         Ok(max_abs_error) => Ok(Verification::Passed { max_abs_error }),
         Err(msg) => Err(SimError::InvalidParameter(format!(
             "vendor stencil verification failed: {msg}"

@@ -59,6 +59,17 @@ impl DeviceContext {
         self.device.alloc::<T>(len)
     }
 
+    /// Allocates a device buffer whose elements all hold `value`, mirroring
+    /// `ctx.enqueue_create_buffer[dtype](len).enqueue_fill(value)`: the
+    /// storage is written once, with `value`.
+    pub fn enqueue_create_buffer_filled<T: DeviceScalar>(
+        &self,
+        len: usize,
+        value: T,
+    ) -> Result<DeviceBuffer<T>, SimError> {
+        self.device.alloc_filled(len, value)
+    }
+
     /// Allocates a device buffer and fills it from host data.
     pub fn enqueue_create_buffer_from<T: DeviceScalar>(
         &self,

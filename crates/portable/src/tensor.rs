@@ -9,7 +9,7 @@
 
 use crate::layout::Layout;
 use gpu_sim::memory::{DeviceBuffer, DeviceScalar};
-use gpu_sim::{PooledVec, SimError, UnsafeSlice};
+use gpu_sim::{SimError, UnsafeSlice};
 
 /// A layout-aware view over a device buffer.
 #[derive(Debug, Clone)]
@@ -52,57 +52,53 @@ impl<T: DeviceScalar> LayoutTensor<T> {
     }
 
     /// Reads element `i` of a rank-1 tensor.
-    #[inline]
+    #[inline(always)]
     pub fn get(&self, i: usize) -> T {
         self.buffer.read(self.layout.offset_1d(i))
     }
 
     /// Writes element `i` of a rank-1 tensor.
-    #[inline]
+    #[inline(always)]
     pub fn set(&self, i: usize, value: T) {
         self.buffer.write(self.layout.offset_1d(i), value)
     }
 
     /// Reads element `(i, j)` of a rank-2 tensor.
-    #[inline]
+    #[inline(always)]
     pub fn get2(&self, i: usize, j: usize) -> T {
         self.buffer.read(self.layout.offset_2d(i, j))
     }
 
     /// Writes element `(i, j)` of a rank-2 tensor.
-    #[inline]
+    #[inline(always)]
     pub fn set2(&self, i: usize, j: usize, value: T) {
         self.buffer.write(self.layout.offset_2d(i, j), value)
     }
 
     /// Reads element `(i, j, k)` of a rank-3 tensor.
-    #[inline]
+    #[inline(always)]
     pub fn get3(&self, i: usize, j: usize, k: usize) -> T {
         self.buffer.read(self.layout.offset_3d(i, j, k))
     }
 
     /// Writes element `(i, j, k)` of a rank-3 tensor.
-    #[inline]
+    #[inline(always)]
     pub fn set3(&self, i: usize, j: usize, k: usize, value: T) {
         self.buffer.write(self.layout.offset_3d(i, j, k), value)
     }
 
-    /// Copies the covered elements back to the host.
-    pub fn to_host(&self) -> Vec<T> {
-        (0..self.layout.len())
-            .map(|i| self.buffer.read(i))
-            .collect()
+    /// A read-only view of the covered elements, for host code that inspects
+    /// device memory in place. Carries the contract of
+    /// [`DeviceBuffer::as_slice`]: nothing may write the buffer while the view
+    /// lives.
+    #[inline]
+    pub fn as_slice(&self) -> &[T] {
+        &self.buffer.as_slice()[..self.layout.len()]
     }
 
-    /// Copies the covered elements into a pooled host vector, reusing its
-    /// capacity — the steady-state replacement for [`LayoutTensor::to_host`]
-    /// on hot verification paths.
-    pub fn to_host_into(&self, out: &mut PooledVec<T>) {
-        out.clear();
-        out.reserve(self.layout.len());
-        for i in 0..self.layout.len() {
-            out.push(self.buffer.read(i));
-        }
+    /// Copies the covered elements back to the host.
+    pub fn to_host(&self) -> Vec<T> {
+        self.as_slice().to_vec()
     }
 
     /// Copies host data into the covered elements.
@@ -113,17 +109,16 @@ impl<T: DeviceScalar> LayoutTensor<T> {
                 actual: data.len(),
             });
         }
-        for (i, v) in data.iter().enumerate() {
-            self.buffer.write(i, *v);
-        }
+        // SAFETY: the view lives only for this call, and host staging never
+        // overlaps a launch (launches are synchronous).
+        unsafe { &mut self.buffer.as_mut_slice()[..self.layout.len()] }.copy_from_slice(data);
         Ok(())
     }
 
     /// Fills the covered elements with `value`.
     pub fn fill(&self, value: T) {
-        for i in 0..self.layout.len() {
-            self.buffer.write(i, value);
-        }
+        // SAFETY: as for `copy_from_host`.
+        unsafe { &mut self.buffer.as_mut_slice()[..self.layout.len()] }.fill(value);
     }
 }
 

@@ -11,10 +11,15 @@
 //! The test pins `RAYON_NUM_THREADS=1` before the first parallel call so the
 //! worker pool's serial lane executes in the caller (spawning workers — a
 //! one-time, warm-up-phase cost in production — would otherwise count
-//! against whichever launch happened to trigger it).
+//! against whichever launch happened to trigger it). All of a launch's work
+//! then runs on the test's own thread, and that is the thread the counter
+//! watches: the libtest harness allocates on its main thread while a test
+//! runs (the "has been running for over 60 seconds" notice formats a
+//! message), and a process-wide count charged those allocations to
+//! whichever launch the notice landed in.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Counts every allocator entry point that can hand out new memory.
 /// Deallocation is free to happen in steady state (returning a block to the
@@ -23,21 +28,29 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// counted.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocator calls made by this thread. Const-initialised and without
+    /// drop glue, so reading it from inside the allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -49,8 +62,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocator calls made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Warm-up launches per workload before counting starts. Two would do (the
@@ -66,6 +80,9 @@ fn steady_state_launches_do_not_allocate() {
     // Must precede the first parallel call of the process: the worker pool
     // reads the variable once, when first used.
     std::env::set_var("RAYON_NUM_THREADS", "1");
+    // The premise of counting this thread alone: no pool worker exists, so
+    // every launch runs inline here.
+    assert_eq!(rayon::current_num_threads(), 1);
 
     use science_kernels::simd::LanePolicy;
     use science_kernels::workload::{self, ParamValue};
